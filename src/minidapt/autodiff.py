@@ -21,12 +21,36 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def _tape(root):
+    """Depth-first post-order over `_prev`, in tuple order, without recursion."""
+    tape, seen = [], {id(root)}
+    stack = [(root, iter(root._prev))]
+    while stack:
+        node, parents = stack[-1]
+        for p in parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append((p, iter(p._prev)))
+                break
+        else:
+            stack.pop()
+            tape.append(node)
+    return tape
+
+
 class Tensor:
+    """An array plus, for op results, the links of the graph that made it.
+
+    An op result holds its inputs in `_prev` and a `_backward(g)` that sends
+    the upstream gradient `g` to them. Nothing refers back to the result, so
+    a graph is freed as soon as the last reference to it goes.
+    """
+
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = None
-        self._backward = lambda: None
+        self._backward = None
         self._prev = ()
 
     @property
@@ -36,6 +60,7 @@ class Tensor:
     def _accum(self, g):
         if not self.requires_grad:
             return
+        g = _unbroadcast(g, self.data.shape)
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
@@ -45,9 +70,10 @@ class Tensor:
 
     # ---- graph construction helpers -------------------------------------
 
-    def _child(self, data, prevs):
+    def _child(self, data, prevs, backward):
         out = Tensor(data, requires_grad=any(p.requires_grad for p in prevs))
         out._prev = tuple(prevs)
+        out._backward = backward
         return out
 
     # ---- arithmetic ------------------------------------------------------
@@ -55,21 +81,17 @@ class Tensor:
     def __add__(self, other):
         if not isinstance(other, Tensor):
             other = Tensor(other)
-        out = self._child(self.data + other.data, (self, other))
 
-        def _backward():
-            self._accum(_unbroadcast(out.grad, self.data.shape))
-            other._accum(_unbroadcast(out.grad, other.data.shape))
+        def _backward(g):
+            self._accum(g)
+            other._accum(g)
 
-        out._backward = _backward
-        return out
+        return self._child(self.data + other.data, (self, other), _backward)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = self._child(-self.data, (self,))
-        out._backward = lambda: self._accum(-out.grad)
-        return out
+        return self._child(-self.data, (self,), lambda g: self._accum(-g))
 
     def __sub__(self, other):
         if not isinstance(other, Tensor):
@@ -79,14 +101,14 @@ class Tensor:
     def __mul__(self, other):
         if not isinstance(other, Tensor):
             other = Tensor(other)
-        out = self._child(self.data * other.data, (self, other))
 
-        def _backward():
-            self._accum(_unbroadcast(out.grad * other.data, self.data.shape))
-            other._accum(_unbroadcast(out.grad * self.data, other.data.shape))
+        def _backward(g):
+            if self.requires_grad:
+                self._accum(g * other.data)
+            if other.requires_grad:
+                other._accum(g * self.data)
 
-        out._backward = _backward
-        return out
+        return self._child(self.data * other.data, (self, other), _backward)
 
     __rmul__ = __mul__
 
@@ -101,16 +123,14 @@ class Tensor:
                 f"matmul: inner dimensions disagree for shapes "
                 f"{tuple(self.data.shape)} and {tuple(other.data.shape)}"
             )
-        out = self._child(self.data @ other.data, (self, other))
 
-        def _backward():
-            ga = out.grad @ np.swapaxes(other.data, -1, -2)
-            gb = np.swapaxes(self.data, -1, -2) @ out.grad
-            self._accum(_unbroadcast(ga, self.data.shape))
-            other._accum(_unbroadcast(gb, other.data.shape))
+        def _backward(g):
+            if self.requires_grad:
+                self._accum(g @ np.swapaxes(other.data, -1, -2))
+            if other.requires_grad:
+                other._accum(np.swapaxes(self.data, -1, -2) @ g)
 
-        out._backward = _backward
-        return out
+        return self._child(self.data @ other.data, (self, other), _backward)
 
     __matmul__ = matmul
 
@@ -118,70 +138,58 @@ class Tensor:
 
     def reshape(self, *shape):
         orig = self.data.shape
-        out = self._child(self.data.reshape(*shape), (self,))
-        out._backward = lambda: self._accum(out.grad.reshape(orig))
-        return out
+        return self._child(self.data.reshape(*shape), (self,),
+                           lambda g: self._accum(g.reshape(orig)))
 
     def transpose(self, *axes):
         inv = np.argsort(axes)
-        out = self._child(self.data.transpose(axes), (self,))
-        out._backward = lambda: self._accum(out.grad.transpose(inv))
-        return out
+        return self._child(self.data.transpose(axes), (self,),
+                           lambda g: self._accum(g.transpose(inv)))
 
     def __getitem__(self, idx):
-        out = self._child(self.data[idx], (self,))
+        def _backward(g):
+            full = np.zeros_like(self.data)
+            full[idx] = g
+            self._accum(full)
 
-        def _backward():
-            g = np.zeros_like(self.data)
-            g[idx] = out.grad
-            self._accum(g)
-
-        out._backward = _backward
-        return out
+        return self._child(self.data[idx], (self,), _backward)
 
     # ---- reductions & nonlinearities ------------------------------------
 
     def sum(self):
-        out = self._child(self.data.sum(), (self,))
-        out._backward = lambda: self._accum(np.broadcast_to(out.grad, self.data.shape))
-        return out
+        return self._child(self.data.sum(), (self,),
+                           lambda g: self._accum(np.broadcast_to(g, self.data.shape)))
 
     def mean(self):
         return self.sum() / self.data.size
 
     def relu(self):
-        out = self._child(np.maximum(self.data, 0.0), (self,))
-        out._backward = lambda: self._accum(out.grad * (self.data > 0))
-        return out
+        return self._child(np.maximum(self.data, 0.0), (self,),
+                           lambda g: self._accum(g * (self.data > 0)))
 
     def sigmoid(self):
         s = stable_sigmoid(self.data)
-        out = self._child(s, (self,))
-        out._backward = lambda: self._accum(out.grad * s * (1.0 - s))
-        return out
+        return self._child(s, (self,), lambda g: self._accum(g * s * (1.0 - s)))
 
     # ---- backward pass (the tape replay) ---------------------------------
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into the `grad` of every leaf that
+        requires one.
+
+        One-shot: each op result is replayed once, then its `grad`, `_prev`
+        and `_backward` are dropped, so the graph below `self` is freed as it
+        goes and cannot be replayed again. Leaf grads (parameters) stay.
+        """
         if self.data.ndim != 0 and self.data.size != 1:
             raise ShapeError(f"backward: loss must be scalar, got shape {self.data.shape}")
-        tape = []
-        visited = set()
-
-        def build(node):
-            if id(node) in visited:
-                return
-            visited.add(id(node))
-            for p in node._prev:
-                build(p)
-            tape.append(node)
-
-        build(self)
         if self.grad is None:
             self.grad = np.ones_like(self.data)
-        for node in reversed(tape):
-            if node.grad is not None:
-                node._backward()
+        for node in reversed(_tape(self)):
+            if node._prev:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad, node._prev, node._backward = None, (), None
 
 
 class Parameter(Tensor):
@@ -217,14 +225,8 @@ def softmax_rows(x):
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
-    out = x._child(s, (x,))
-
-    def _backward():
-        g = out.grad
-        x._accum(s * (g - (g * s).sum(axis=-1, keepdims=True)))
-
-    out._backward = _backward
-    return out
+    return x._child(s, (x,),
+                    lambda g: x._accum(s * (g - (g * s).sum(axis=-1, keepdims=True))))
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -233,10 +235,8 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out = x._child(xhat * gamma.data + beta.data, (x, gamma, beta))
 
-    def _backward():
-        g = out.grad
+    def _backward(g):
         d = x.data.shape[-1]
         sum_axes = tuple(range(g.ndim - 1))
         gamma._accum((g * xhat).sum(axis=sum_axes))
@@ -245,8 +245,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         x._accum(inv / d * (d * gx - gx.sum(axis=-1, keepdims=True)
                             - xhat * (gx * xhat).sum(axis=-1, keepdims=True)))
 
-    out._backward = _backward
-    return out
+    return x._child(xhat * gamma.data + beta.data, (x, gamma, beta), _backward)
 
 
 class BatchNormState:
@@ -283,10 +282,8 @@ def batch_norm(x, gamma, beta, state, mode, momentum=0.1, eps=1e-5):
         raise ValueError(f"batch_norm: unknown mode {mode!r}")
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out = x._child(xhat * gamma.data + beta.data, (x, gamma, beta))
 
-    def _backward():
-        g = out.grad
+    def _backward(g):
         gamma._accum((g * xhat).sum(axis=0))
         beta._accum(g.sum(axis=0))
         gx = g * gamma.data
@@ -297,22 +294,19 @@ def batch_norm(x, gamma, beta, state, mode, momentum=0.1, eps=1e-5):
         else:
             x._accum(gx * inv)
 
-    out._backward = _backward
-    return out
+    return x._child(xhat * gamma.data + beta.data, (x, gamma, beta), _backward)
 
 
 def embedding(table, ids):
     """Row lookup: table [V, d] indexed by an integer ndarray of any shape."""
     ids = np.asarray(ids)
-    out = table._child(table.data[ids], (table,))
 
-    def _backward():
-        g = np.zeros_like(table.data)
-        np.add.at(g, ids.reshape(-1), out.grad.reshape(-1, table.data.shape[1]))
-        table._accum(g)
+    def _backward(g):
+        full = np.zeros_like(table.data)
+        np.add.at(full, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        table._accum(full)
 
-    out._backward = _backward
-    return out
+    return table._child(table.data[ids], (table,), _backward)
 
 
 def dropout(x, rate, rng, mode):
@@ -322,9 +316,7 @@ def dropout(x, rate, rng, mode):
     if rng is None:
         raise ValueError("dropout: train mode needs an rng")
     mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    out = x._child(x.data * mask, (x,))
-    out._backward = lambda: x._accum(out.grad * mask)
-    return out
+    return x._child(x.data * mask, (x,), lambda g: x._accum(g * mask))
 
 
 IGNORE_LABEL = -100
@@ -348,17 +340,15 @@ def masked_cross_entropy(logits, labels, ignore=IGNORE_LABEL):
     lse = m[:, 0] + np.log(np.exp(rows - m).sum(axis=1))
     picked = rows[np.arange(n), lab[sel]]
     loss = float((lse - picked).mean())
-    out = logits._child(loss, (logits,))
 
-    def _backward():
-        g = np.zeros_like(flat)
+    def _backward(g):
+        full = np.zeros_like(flat)
         sm = np.exp(rows - lse[:, None])
         sm[np.arange(n), lab[sel]] -= 1.0
-        g[sel] = sm / n
-        logits._accum(float(out.grad) * g.reshape(logits.data.shape))
+        full[sel] = sm / n
+        logits._accum(float(g) * full.reshape(logits.data.shape))
 
-    out._backward = _backward
-    return out
+    return logits._child(loss, (logits,), _backward)
 
 
 def bce_with_logits(logits, targets):
@@ -366,14 +356,12 @@ def bce_with_logits(logits, targets):
     z = logits.data.reshape(-1)
     y = np.asarray(targets, dtype=np.float64).reshape(-1)
     loss = float((np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z)))).mean())
-    out = logits._child(loss, (logits,))
 
-    def _backward():
-        g = (stable_sigmoid(z) - y) / z.size
-        logits._accum(float(out.grad) * g.reshape(logits.data.shape))
+    def _backward(g):
+        dz = (stable_sigmoid(z) - y) / z.size
+        logits._accum(float(g) * dz.reshape(logits.data.shape))
 
-    out._backward = _backward
-    return out
+    return logits._child(loss, (logits,), _backward)
 
 
 def grad_check(f, params, fd_step=1e-5):

@@ -10,7 +10,6 @@ import struct
 
 import numpy as np
 
-from .autodiff import BatchNormState
 from .model import EncoderConfig, TransformerModel
 from .optim import AdamState
 
@@ -82,19 +81,25 @@ class Checkpoint:
                          manifest["adam"]["eps"])
         adam.step = manifest["adam"]["step"]
         trainable = set(manifest["trainable"])
+        missing = {f"param/{n}" for n in model.params}
+        missing |= {f"bn/{n}/{s}" for n in model.bn_states for s in ("mean", "var")}
         for entry in manifest["entries"]:
             name, shape, offset = entry["name"], entry["shape"], entry["offset"]
             size = int(np.prod(shape)) if shape else 1
+            if offset < 0 or offset + 8 * size > len(payload):
+                raise ValueError(f"{path}: payload too short for entry {name}")
             arr = np.frombuffer(payload, dtype="<f8", count=size,
                                 offset=offset).reshape(shape).copy()
             kind, _, rest = name.partition("/")
+            if kind in ("param", "bn"):
+                if name not in missing:
+                    raise ValueError(f"{path}: unknown or repeated entry {name}")
+                missing.remove(name)
             if kind == "param":
                 model.params[rest].data = arr
                 model.params[rest].set_trainable(rest in trainable)
             elif kind == "bn":
                 bn_name, _, stat = rest.partition("/")
-                if bn_name not in model.bn_states:
-                    model.bn_states[bn_name] = BatchNormState(size)
                 if stat == "mean":
                     model.bn_states[bn_name].running_mean = arr
                 else:
@@ -103,4 +108,6 @@ class Checkpoint:
                 adam.m[rest] = arr
             elif kind == "adam.v":
                 adam.v[rest] = arr
+        if missing:
+            raise ValueError(f"{path}: missing entry {min(missing)}")
         return cls(model, adam, manifest["provenance"])

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,19 +27,22 @@ from .tokenizer import Vocabulary, encode, train_vocab
 from .trainer import (FinetuneConfig, MLMConfig, TrainConfig, adapt_mlm,
                       evaluate, finetune_staged, write_curves)
 
+
+def _section_defaults(cls):
+    """A config class's defaults as JSON values; vocab_size and seed are set
+    per run, not per section."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in fields(cls) if f.name not in ("vocab_size", "seed")}
+
+
 DEFAULTS = {
     "seed": None,
     "chunk_size": 128,
     "vocab_target_size": 512,
-    "encoder": {"num_layers": 2, "d_model": 64, "num_heads": 4, "d_ff": 128,
-                "max_len": 128, "dropout_rate": 0.1, "head_hidden": [256, 128],
-                "head_dropout": 0.5, "tie_mlm": False},
-    "mlm": {"epochs": 7, "batch_size": 16, "peak_lr": 1e-4,
-            "warmup_steps": 1000, "weight_decay": 0.01},
-    "finetune": {"stage1_epochs": 20, "stage2_epochs": 20, "batch_size": 32,
-                 "lr_frozen": 1e-5, "lr_unfrozen": 1e-6},
-    "masking": {"p_mask": 0.15, "p_wwm": 0.2,
-                "replacement_split": [0.8, 0.1, 0.1]},
+    "encoder": _section_defaults(EncoderConfig),
+    "mlm": _section_defaults(MLMConfig),
+    "finetune": _section_defaults(FinetuneConfig),
+    "masking": _section_defaults(MaskingConfig),
     "mlm_split": [0.8, 0.1, 0.1],
     "cls_split": [0.68, 0.12, 0.20],
     "val_fraction_of_train": None,
@@ -87,29 +91,29 @@ def resolve_config(args):
     return cfg
 
 
+def _section(cls, cfg, name, **fixed):
+    """cls built from config section `name` (JSON lists as tuples) plus `fixed`."""
+    values = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg[name].items()}
+    try:
+        return cls(**{**values, **fixed})
+    except TypeError as e:
+        raise CliError(f"config section {name!r}: {e}")
+
+
 def _train_config(cfg):
     return TrainConfig(
-        mlm=MLMConfig(**cfg["mlm"]),
-        finetune=FinetuneConfig(**cfg["finetune"]),
+        mlm=_section(MLMConfig, cfg, "mlm"),
+        finetune=_section(FinetuneConfig, cfg, "finetune"),
         split=SplitSpec(ratios=tuple(cfg["cls_split"]), seed=cfg["seed"]),
-        masking=MaskingConfig(replacement_split=tuple(cfg["masking"]["replacement_split"]),
-                              p_mask=cfg["masking"]["p_mask"],
-                              p_wwm=cfg["masking"]["p_wwm"],
-                              seed=cfg["seed"]),
+        masking=_section(MaskingConfig, cfg, "masking", seed=cfg["seed"]),
         chunk_size=cfg["chunk_size"],
         seed=cfg["seed"],
     )
 
 
 def _encoder_config(cfg, vocab_size):
-    e = cfg["encoder"]
-    return EncoderConfig(vocab_size=vocab_size, num_layers=e["num_layers"],
-                         d_model=e["d_model"], num_heads=e["num_heads"],
-                         d_ff=e["d_ff"], max_len=e["max_len"],
-                         dropout_rate=e["dropout_rate"],
-                         head_hidden=tuple(e["head_hidden"]),
-                         head_dropout=e["head_dropout"], tie_mlm=e["tie_mlm"],
-                         seed=cfg["seed"])
+    return _section(EncoderConfig, cfg, "encoder", vocab_size=vocab_size,
+                    seed=cfg["seed"])
 
 
 def _sha256(path):

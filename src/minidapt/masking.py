@@ -74,7 +74,8 @@ def select_positions(ids, word_begin, cfg, special_ids, rng):
 def apply_replacement(ids, selected_positions, split, vocab, rng):
     """80/10/10 rule per selected position: MASK / random non-special id / keep."""
     out = list(ids)
-    non_special = [i for i in range(vocab.size) if i not in vocab.special_ids]
+    special = vocab.special_ids
+    non_special = [i for i in range(vocab.size) if i not in special]
     for pos in selected_positions:
         u = rng.random()
         if u < split[0]:

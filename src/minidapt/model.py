@@ -5,12 +5,12 @@ The classifier head is dense(256) -> ReLU -> batch norm -> dense(128) -> ReLU
 (CLS-slot) position.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (BatchNormState, Parameter, Tensor, batch_norm, dropout,
-                       embedding, layer_norm, softmax_rows)
+from .autodiff import (BatchNormState, Parameter, batch_norm, dropout, embedding,
+                       layer_norm, softmax_rows)
 
 ATTN_MASK_BIAS = -1e9  # additive bias for PAD keys; finite stand-in for -inf
 
@@ -63,7 +63,7 @@ class TransformerModel:
 
     # ---- initialization --------------------------------------------------
 
-    def _add(self, name, value, kind="weight"):
+    def _add(self, name, value):
         self.params[name] = Parameter(name, value)
 
     def _init_params(self):
@@ -170,7 +170,7 @@ class TransformerModel:
         v = heads(h @ P[f"{prefix}.attn.wv"] + P[f"{prefix}.attn.wv_b"])
         scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(hd))
         if bias is not None:
-            scores = scores + Tensor(np.broadcast_to(bias, scores.shape).copy())
+            scores = scores + bias
         weights = softmax_rows(scores)
         ctx = (weights @ v).transpose(0, 2, 1, 3).reshape(B, T, d)
         return ctx @ P[f"{prefix}.attn.wo"] + P[f"{prefix}.attn.wo_b"]

@@ -21,6 +21,7 @@ def normalize_whitespace(text):
 class Vocabulary:
     tokens: list
     token_to_id: dict = field(init=False)
+    special_ids: frozenset = field(init=False, repr=False)
 
     def __post_init__(self):
         self.token_to_id = {t: i for i, t in enumerate(self.tokens)}
@@ -29,6 +30,7 @@ class Vocabulary:
         for s in SPECIALS:
             if s not in self.token_to_id:
                 raise ValueError(f"missing special token {s}")
+        self.special_ids = frozenset(self.token_to_id[s] for s in SPECIALS)
 
     @property
     def size(self):
@@ -53,10 +55,6 @@ class Vocabulary:
     @property
     def mask_id(self):
         return self.token_to_id[MASK]
-
-    @property
-    def special_ids(self):
-        return {self.token_to_id[s] for s in SPECIALS}
 
     def to_json(self):
         return json.dumps({"tokens": self.tokens, "specials": SPECIALS},

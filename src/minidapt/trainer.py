@@ -7,7 +7,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .autodiff import IGNORE_LABEL, bce_with_logits, masked_cross_entropy
+from .autodiff import (IGNORE_LABEL, bce_with_logits, masked_cross_entropy,
+                       stable_sigmoid)
 from .corpus import SplitSpec
 from .masking import MaskingConfig, collate
 from .metrics import classification_report, mlm_report
@@ -178,15 +179,10 @@ def _classifier_eval(ckpt, ids, mask, labels, batch_size):
         hidden = model.encode_forward(ids[idx], pad_mask=mask[idx], mode="eval")
         logits = model.classify_logits(hidden, mode="eval")
         total += float(bce_with_logits(logits, labels[idx]).data) * len(idx)
-        probs[idx] = _sigmoid(logits.data)
+        probs[idx] = stable_sigmoid(logits.data)
     preds = (probs >= 0.5).astype(int)
     acc = float((preds == labels.astype(int)).mean())
     return total / len(ids), acc, probs
-
-
-def _sigmoid(z):
-    from .autodiff import stable_sigmoid
-    return stable_sigmoid(z)
 
 
 def finetune_staged(base, dataset_splits, cfg, vocab):

@@ -1,7 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from minidapt.checkpoint import Checkpoint
+from minidapt.checkpoint import MAGIC, Checkpoint
 from minidapt.corpus import chunk_stream
 from minidapt.fixtures import separable_dataset, two_domain_corpus
 from minidapt.masking import MaskingConfig
@@ -49,3 +52,13 @@ def tiny_train_config(**kw):
 @pytest.fixture
 def tiny_checkpoint(small_vocab):
     return Checkpoint(tiny_model(small_vocab))
+
+
+def rewrite_manifest(path, edit):
+    """Apply edit(manifest) to a saved checkpoint, keeping its payload."""
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack("<Q", raw[8:16])
+    manifest = json.loads(raw[16:16 + mlen])
+    edit(manifest)
+    mbytes = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<Q", len(mbytes)) + mbytes + raw[16 + mlen:])

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,8 @@ from minidapt.autodiff import (BatchNormState, Parameter, ShapeError, Tensor,
                                batch_norm, bce_with_logits, dropout, embedding,
                                grad_check, layer_norm, masked_cross_entropy,
                                softmax_rows, stable_sigmoid)
+
+from conftest import tiny_model
 
 
 class TestMatmul:
@@ -254,6 +259,23 @@ class TestPrimitiveGradients:
         y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
         assert grad_check(lambda: bce_with_logits(z, y), [z]) < FD_TOL
 
+    def test_add_broadcast_constant(self):
+        # the attention pad bias: a constant [B,1,1,T] operand, plus a
+        # parameter that broadcasts too
+        x = Parameter("x", self.rng.normal(size=(2, 3, 4, 5)))
+        b = Parameter("b", self.rng.normal(size=(1, 5)))
+        bias = self.rng.normal(size=(2, 1, 1, 5))
+        c = Tensor(self.rng.normal(size=(2, 3, 4, 5)))
+        assert grad_check(lambda: (softmax_rows(x + bias + b) * c).sum(), [x, b]) < FD_TOL
+
+    def test_mul_broadcast_constant(self):
+        # the attention scale: a constant scalar operand, plus a parameter
+        # that broadcasts too
+        x = Parameter("x", self.rng.normal(size=(2, 3, 4, 5)))
+        w = Parameter("w", self.rng.normal(size=(3, 1, 5)))
+        c = Tensor(self.rng.normal(size=(2, 3, 4, 5)))
+        assert grad_check(lambda: (softmax_rows(x * 0.125 * w) * c).sum(), [x, w]) < FD_TOL
+
 
 class TestStability:
     def test_sigmoid_no_overflow(self):
@@ -286,3 +308,52 @@ class TestDropout:
         x = Tensor(np.ones((200, 200)))
         out = dropout(x, 0.5, rng, "train")
         assert abs(out.data.mean() - 1.0) < 0.02
+
+
+class TestGraphLifetime:
+    """Graphs are freed by reference counting alone: nothing in a graph
+    refers back to a node, and backward() unlinks what it has replayed."""
+
+    @pytest.fixture
+    def no_gc(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        yield
+        if was_enabled:
+            gc.enable()
+
+    def _batch(self, vocab):
+        rng = np.random.default_rng(0)
+        ids = rng.integers(5, vocab.size, size=(4, 12))
+        mask = np.ones((4, 12), dtype=bool)
+        mask[:2, 9:] = False
+        return ids, mask
+
+    def test_backward_frees_interior_nodes_and_keeps_leaf_grads(self, small_vocab, no_gc):
+        model = tiny_model(small_vocab)
+        ids, mask = self._batch(small_vocab)
+        labels = np.where(mask, ids, -100)
+        rng = np.random.default_rng(1)
+        hidden = model.encode_forward(ids, pad_mask=mask, mode="train", rng=rng)
+        # both heads, so every parameter lies on the loss's graph
+        loss = (masked_cross_entropy(model.mlm_logits(hidden), labels)
+                + bce_with_logits(model.classify_logits(hidden, "train", rng),
+                                  np.array([0.0, 1.0, 1.0, 0.0])))
+        interior = weakref.ref(hidden)
+        del hidden
+        loss.backward()
+        del loss
+        assert interior() is None
+        for p in model.params.values():
+            assert p.trainable and p.grad is not None and np.any(p.grad != 0), p.name
+
+    def test_eval_graph_dies_with_its_result(self, small_vocab, no_gc):
+        model = tiny_model(small_vocab)
+        ids, mask = self._batch(small_vocab)
+        hidden = model.encode_forward(ids, pad_mask=mask, mode="eval")
+        logits = model.classify_logits(hidden, mode="eval")
+        interior = weakref.ref(hidden)
+        del hidden
+        assert interior() is not None  # still reachable from logits
+        del logits
+        assert interior() is None

@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 
 from minidapt.checkpoint import Checkpoint
 from minidapt.optim import AdamState, adam_step, set_trainable
 
-from conftest import tiny_model
+from conftest import rewrite_manifest, tiny_model
 
 
 class TestCheckpointIO:
@@ -59,3 +60,31 @@ class TestCheckpointIO:
             assert "checkpoint" in str(e)
         else:
             raise AssertionError("expected ValueError")
+
+
+class TestStrictLoad:
+    @pytest.fixture
+    def saved(self, small_vocab, tmp_path):
+        path = tmp_path / "s.ckpt"
+        Checkpoint(tiny_model(small_vocab)).save(path)
+        return path
+
+    def test_missing_entry_is_named(self, saved):
+        rewrite_manifest(saved, lambda m: m.update(
+            entries=[e for e in m["entries"] if e["name"] != "param/embed.pos"]))
+        with pytest.raises(ValueError, match="missing entry param/embed.pos"):
+            Checkpoint.load(saved)
+
+    def test_unknown_parameter_is_named(self, saved):
+        def rename(m):
+            for e in m["entries"]:
+                if e["name"] == "param/embed.pos":
+                    e["name"] = "param/embed.where"
+        rewrite_manifest(saved, rename)
+        with pytest.raises(ValueError, match="param/embed.where"):
+            Checkpoint.load(saved)
+
+    def test_short_payload_is_named(self, saved):
+        saved.write_bytes(saved.read_bytes()[:-8])  # no Adam state: bn entries come last
+        with pytest.raises(ValueError, match="payload too short for entry bn/head.bn2/var"):
+            Checkpoint.load(saved)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -7,6 +8,8 @@ from minidapt.checkpoint import Checkpoint
 from minidapt.cli import main
 from minidapt.metrics import EvalReport
 from minidapt.tokenizer import Vocabulary
+
+from conftest import rewrite_manifest
 
 TINY = [
     "--set", "encoder.num_layers=1",
@@ -110,6 +113,14 @@ class TestVocabCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestConfigSections:
+    def test_unknown_key_exits_2(self, ws, tmp_path, capsys):
+        code = run("adapt", "--vocab", ws["vocab_path"], "--corpus", ws["corpus_b"],
+                   "--seed", 7, "--out", tmp_path, *TINY, "--set", "encoder.d_modle=32")
+        assert code == 2
+        assert "d_modle" in capsys.readouterr().err
+
+
 class TestSeedHandling:
     def test_missing_seed_exits_2(self, ws, tmp_path, capsys):
         code = run("fixtures", "generate", "--out", tmp_path)
@@ -183,6 +194,17 @@ class TestFinetuneCommand:
                    "--base", "vanilla", "--seed", 7, "--out", tmp_path, *TINY)
         assert code == 2
         assert "label" in capsys.readouterr().err
+
+    def test_broken_base_checkpoint_exits_2(self, ws, tmp_path, capsys):
+        broken = tmp_path / "broken.ckpt"
+        shutil.copyfile(ws["adapted"], broken)
+        rewrite_manifest(broken, lambda m: m.update(
+            entries=[e for e in m["entries"] if e["name"] != "param/embed.pos"]))
+        code = run("finetune", "--vocab", ws["vocab_path"], "--dataset", ws["dataset"],
+                   "--base", broken, "--seed", 7, "--out", tmp_path / "out", *TINY)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "missing entry param/embed.pos" in err
 
 
 class TestBaselineCommand:

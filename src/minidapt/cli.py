@@ -45,7 +45,6 @@ DEFAULTS = {
     "masking": _section_defaults(MaskingConfig),
     "mlm_split": [0.8, 0.1, 0.1],
     "cls_split": [0.68, 0.12, 0.20],
-    "val_fraction_of_train": None,
     "baseline": {"lambda_grid": list(bl.DEFAULT_LAMBDA_GRID), "epochs": 50},
 }
 
@@ -56,21 +55,30 @@ class CliError(Exception):
         self.code = code
 
 
-def _deep_merge(base, override):
-    out = copy.deepcopy(base)
+def _merge(base, override, prefix=""):
+    """Merge override into base in place. Every key path must exist in base:
+    a key base lacks, or one below a value that is not a section, is an error,
+    as is a value in place of a section."""
     for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _deep_merge(out[k], v)
+        key = prefix + k
+        if not isinstance(base, dict) or k not in base:
+            raise CliError(f"unknown config key {key!r}")
+        if isinstance(base[k], dict) and not isinstance(v, dict):
+            raise CliError(f"config key {key!r} is a section; set its keys instead")
+        if isinstance(v, dict):
+            _merge(base[k], v, key + ".")
         else:
-            out[k] = v
-    return out
+            base[k] = v
 
 
 def resolve_config(args):
     cfg = copy.deepcopy(DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as f:
-            cfg = _deep_merge(cfg, json.load(f))
+            loaded = json.load(f)
+        if not isinstance(loaded, dict):
+            raise CliError(f"{args.config}: expected a JSON object")
+        _merge(cfg, loaded)
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise CliError(f"--set expects key=value, got {item!r}")
@@ -79,11 +87,9 @@ def resolve_config(args):
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = cfg
-        parts = key.split(".")
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
-        node[parts[-1]] = value
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        _merge(cfg, value)
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
     if cfg["seed"] is None:
@@ -94,10 +100,7 @@ def resolve_config(args):
 def _section(cls, cfg, name, **fixed):
     """cls built from config section `name` (JSON lists as tuples) plus `fixed`."""
     values = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg[name].items()}
-    try:
-        return cls(**{**values, **fixed})
-    except TypeError as e:
-        raise CliError(f"config section {name!r}: {e}")
+    return cls(**values, **fixed)
 
 
 def _train_config(cfg):
@@ -125,14 +128,17 @@ def _sha256(path):
 
 
 def _out_dir(args):
-    out = os.environ.get("MINIDAPT_OUT", args.out)
-    os.makedirs(out, exist_ok=True)
-    return out
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
 def _write_manifest(out, cfg, inputs, extra=None):
-    manifest = {"config": cfg,
-                "inputs": {p: _sha256(p) for p in inputs}}
+    """inputs maps each role (vocab, corpus, ...) to a path or a list of
+    paths; only their hashes are recorded, so the manifest does not depend on
+    where the files live."""
+    hashes = {role: [_sha256(p) for p in path] if isinstance(path, list) else _sha256(path)
+              for role, path in inputs.items()}
+    manifest = {"config": cfg, "inputs": hashes}
     if extra:
         manifest.update(extra)
     path = os.path.join(out, "manifest.json")
@@ -148,13 +154,7 @@ def _split_indices(n, ratios, seed):
 def _cls_splits(docs, cfg):
     """Train/val/test document splits for classification; shared with the
     baseline via the split seed so comparisons use identical test sets."""
-    f = cfg["val_fraction_of_train"]
-    if f is None:
-        ratios = cfg["cls_split"]
-    else:
-        test = cfg["cls_split"][2]
-        ratios = [(1 - test) * (1 - f), (1 - test) * f, test]
-    idx = _split_indices(len(docs), ratios, cfg["seed"])
+    idx = _split_indices(len(docs), cfg["cls_split"], cfg["seed"])
     parts = tuple([docs[i] for i in part] for part in idx)
     return parts, idx
 
@@ -190,7 +190,8 @@ def cmd_vocab(args):
              "coverage": 1.0 - unk / max(total, 1)}
     with open(os.path.join(out, "vocab_stats.json"), "w", encoding="utf-8") as f:
         json.dump(stats, f, indent=2, sort_keys=True)
-    _write_manifest(out, cfg, args.corpus, {"outputs": ["vocab.json", "vocab_stats.json"]})
+    _write_manifest(out, cfg, {"corpus": args.corpus},
+                    {"outputs": ["vocab.json", "vocab_stats.json"]})
     print(f"wrote {vocab_path} ({vocab.size} tokens, coverage {stats['coverage']:.4f})")
     return 0
 
@@ -208,8 +209,10 @@ def cmd_adapt(args):
     idx_parts = _split_indices(len(docs), cfg["mlm_split"], cfg["seed"])
     chunk_parts = [chunk_stream([docs[i] for i in part], vocab, cfg["chunk_size"])
                    for part in idx_parts]
+    inputs = {"vocab": args.vocab, "corpus": args.corpus}
     if args.init:
         init = Checkpoint.load(args.init)
+        inputs["init"] = args.init
     else:
         init = _fresh_checkpoint(cfg, vocab)
     ckpt, curves = adapt_mlm(init, chunk_parts, tc, vocab)
@@ -218,7 +221,7 @@ def cmd_adapt(args):
     write_curves(curves, os.path.join(out, "curves.csv"))
     report = evaluate(ckpt, chunk_parts[2], "mlm", tc, vocab)
     report.save(os.path.join(out, "report.json"))
-    _write_manifest(out, cfg, [args.vocab, args.corpus],
+    _write_manifest(out, cfg, inputs,
                     {"outputs": ["adapted.ckpt", "curves.csv", "report.json"],
                      "provenance": ckpt.provenance})
     print(f"wrote {ckpt_path}; test perplexity {report.perplexity:.4f}")
@@ -234,12 +237,12 @@ def cmd_finetune(args):
         raise CliError(f"{args.dataset}: missing label on one or more records")
     tc = _train_config(cfg)
     (train_docs, val_docs, test_docs), idx = _cls_splits(docs, cfg)
+    inputs = {"vocab": args.vocab, "dataset": args.dataset}
     if args.base == "vanilla":
         base = _fresh_checkpoint(cfg, vocab)
-        inputs = [args.vocab, args.dataset]
     else:
         base = Checkpoint.load(args.base)
-        inputs = [args.vocab, args.dataset, args.base]
+        inputs["base"] = args.base
     ckpt, curves = finetune_staged(base, (train_docs, val_docs, test_docs), tc, vocab)
     ckpt_path = os.path.join(out, "classifier.ckpt")
     ckpt.save(ckpt_path)
@@ -268,7 +271,7 @@ def cmd_evaluate(args):
     report = evaluate(ckpt, data, args.task, tc, vocab)
     report_path = os.path.join(out, "report.json")
     report.save(report_path)
-    _write_manifest(out, cfg, [args.vocab, args.ckpt, args.data],
+    _write_manifest(out, cfg, {"vocab": args.vocab, "ckpt": args.ckpt, "data": args.data},
                     {"outputs": ["report.json"]})
     print(report.to_json())
     return 0
@@ -296,7 +299,7 @@ def cmd_baseline(args):
     report = classification_report(lsvm.predict(X_te).astype(float), y(test_docs))
     bl.save_baseline(tfidf, lsvm, os.path.join(out, "baseline.json"))
     report.save(os.path.join(out, "report.json"))
-    _write_manifest(out, cfg, [args.dataset],
+    _write_manifest(out, cfg, {"dataset": args.dataset},
                     {"outputs": ["baseline.json", "report.json"],
                      "chosen_lambda": lam,
                      "test_indices": list(idx[2])})
@@ -379,7 +382,8 @@ def build_parser():
     p = sub.add_parser("adapt", help="MLM domain adaptation")
     p.add_argument("--vocab", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--init", help="checkpoint to continue from (default: fresh init)")
+    p.add_argument("--init", help="checkpoint whose weights to continue from, with a "
+                                  "fresh optimizer and schedule (default: fresh init)")
     _common(p)
     p.set_defaults(fn=cmd_adapt)
 

@@ -23,7 +23,6 @@ class EvalReport:
     task: str
     n: int
     perplexity: float = None
-    perplexity_nats_base: float = None
     accuracy: float = None
     precision: float = None
     recall: float = None
@@ -37,7 +36,9 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, text):
-        return cls(**json.loads(text))
+        d = json.loads(text)
+        d.pop("perplexity_nats_base", None)  # older reports; equals perplexity
+        return cls(**d)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as f:
@@ -100,9 +101,7 @@ def classification_metrics(c):
 
 def mlm_report(mean_xent_nats, n):
     h_bits = mean_xent_nats / math.log(2)
-    return EvalReport(task="mlm", n=n,
-                      perplexity=perplexity(h_bits),
-                      perplexity_nats_base=math.exp(mean_xent_nats))
+    return EvalReport(task="mlm", n=n, perplexity=perplexity(h_bits))
 
 
 def classification_report(preds, labels, threshold=0.5):

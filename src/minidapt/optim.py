@@ -30,20 +30,15 @@ def lr_at(schedule, step):
 
 
 class AdamState:
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    """One training loop's step count and moments; each loop starts its own."""
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self):
         self.step = 0
         self.m = {}
         self.v = {}
-
-    def copy(self):
-        c = AdamState(self.beta1, self.beta2, self.eps)
-        c.step = self.step
-        c.m = {k: a.copy() for k, a in self.m.items()}
-        c.v = {k: a.copy() for k, a in self.v.items()}
-        return c
 
 
 def adam_step(params, state, lr, weight_decay=0.0):

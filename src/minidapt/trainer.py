@@ -12,7 +12,7 @@ from .autodiff import (IGNORE_LABEL, bce_with_logits, masked_cross_entropy,
 from .corpus import SplitSpec
 from .masking import MaskingConfig, collate
 from .metrics import classification_report, mlm_report
-from .optim import Schedule, adam_step, lr_at, set_trainable
+from .optim import AdamState, Schedule, adam_step, lr_at, set_trainable
 
 # rng stream tags, combined with the run seed so every consumer gets an
 # independent deterministic stream
@@ -119,6 +119,7 @@ def adapt_mlm(init, splits, cfg, vocab):
     model = ckpt.model
     set_trainable(model, "all")
     params = list(model.params.values())
+    adam = AdamState()
 
     n_batches = len(_batches(len(train_chunks), cfg.mlm.batch_size))
     total_steps = cfg.mlm.epochs * n_batches
@@ -141,7 +142,7 @@ def adapt_mlm(init, splits, cfg, vocab):
             loss, n = _mlm_batch_loss(model, batch, mode="train", rng=drop_rng)
             loss.backward()
             step += 1
-            adam_step(params, ckpt.adam, lr_at(schedule, step), cfg.mlm.weight_decay)
+            adam_step(params, adam, lr_at(schedule, step), cfg.mlm.weight_decay)
             epoch_total += float(loss.data) * n
             epoch_count += n
         train_loss = epoch_total / max(epoch_count, 1)
@@ -187,8 +188,9 @@ def _classifier_eval(ckpt, ids, mask, labels, batch_size):
 
 def finetune_staged(base, dataset_splits, cfg, vocab):
     """Two-stage fine-tuning: head-only at lr_frozen, then full model at
-    lr_unfrozen from the stage-1 best weights; returns the checkpoint with
-    the lowest validation loss seen in either stage, plus curve points."""
+    lr_unfrozen from the stage-1 best weights, each stage with a fresh Adam
+    state; returns the checkpoint with the lowest validation loss seen in
+    either stage, plus curve points."""
     train_docs, val_docs = dataset_splits[0], dataset_splits[1]
     if not train_docs or not val_docs:
         raise ValueError("finetune_staged: empty split")
@@ -207,6 +209,7 @@ def finetune_staged(base, dataset_splits, cfg, vocab):
         model = ckpt.model
         set_trainable(model, selector)
         params = list(model.params.values())
+        adam = AdamState()
         shuffle_rng = np.random.default_rng([cfg.seed, _FT_SHUFFLE, stage_idx])
         for epoch in range(1, epochs + 1):
             order = shuffle_rng.permutation(len(tr_ids))
@@ -222,7 +225,7 @@ def finetune_staged(base, dataset_splits, cfg, vocab):
                 logits = model.classify_logits(hidden, mode="train", rng=drop_rng)
                 loss = bce_with_logits(logits, tr_labels[sel])
                 loss.backward()
-                adam_step(params, ckpt.adam, lr)
+                adam_step(params, adam, lr)
                 total += float(loss.data) * len(sel)
             train_loss = total / len(tr_ids)
             _, train_acc, _ = _classifier_eval(ckpt, tr_ids, tr_mask, tr_labels,
@@ -236,14 +239,12 @@ def finetune_staged(base, dataset_splits, cfg, vocab):
                 snap.provenance = {"stage": stage_name, "epoch": epoch,
                                    "val_loss": val_loss}
                 best = (val_loss, snap)
-        return ckpt
 
     ckpt = base.copy()
     run_stage(ckpt, 1, "frozen", "head-only", ft.stage1_epochs, ft.lr_frozen)
     stage2_start = best[1].copy() if best is not None else ckpt
     run_stage(stage2_start, 2, "unfrozen", "all", ft.stage2_epochs, ft.lr_unfrozen)
-    final = best[1].copy()
-    return final, curves
+    return best[1], curves
 
 
 def evaluate(ckpt, testset, task, cfg, vocab):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from minidapt.checkpoint import Checkpoint
-from minidapt.optim import AdamState, adam_step, set_trainable
 
 from conftest import rewrite_manifest, tiny_model
 
@@ -11,11 +10,8 @@ class TestCheckpointIO:
     def test_save_load_save_byte_identical(self, small_vocab, tmp_path):
         ckpt = Checkpoint(tiny_model(small_vocab),
                           provenance={"stage": "mlm", "epoch": 3, "val_loss": 1.5})
-        # populate optimizer state so moments round-trip too
-        set_trainable(ckpt.model, "all")
-        for p in ckpt.model.params.values():
-            p.grad = np.full_like(p.data, 0.1)
-        adam_step(list(ckpt.model.params.values()), ckpt.adam, lr=1e-3)
+        ckpt.model.params["head.out.b"].data[:] = 0.1
+        ckpt.model.bn_states["head.bn2"].running_var[:] = 2.0
         p1 = tmp_path / "a.ckpt"
         p2 = tmp_path / "b.ckpt"
         ckpt.save(p1)
@@ -24,22 +20,24 @@ class TestCheckpointIO:
 
     def test_values_and_state_round_trip(self, small_vocab, tmp_path):
         ckpt = Checkpoint(tiny_model(small_vocab))
-        set_trainable(ckpt.model, "head-only")
         ckpt.model.bn_states["head.bn1"].running_mean[:] = 0.3
-        ckpt.adam.step = 7
-        ckpt.adam.m["head.out.w"] = np.ones((4, 1)) * 0.5
-        ckpt.adam.v["head.out.w"] = np.ones((4, 1)) * 0.25
         path = tmp_path / "c.ckpt"
         ckpt.save(path)
         loaded = Checkpoint.load(path)
         for name, p in ckpt.model.params.items():
             assert np.array_equal(loaded.model.params[name].data, p.data)
-            assert loaded.model.params[name].trainable == p.trainable
         assert np.array_equal(loaded.model.bn_states["head.bn1"].running_mean,
                               ckpt.model.bn_states["head.bn1"].running_mean)
-        assert loaded.adam.step == 7
-        assert np.array_equal(loaded.adam.m["head.out.w"],
-                              ckpt.adam.m["head.out.w"])
+
+    def test_holds_no_optimizer_state(self, small_vocab, tmp_path):
+        ckpt = Checkpoint(tiny_model(small_vocab))
+        assert not hasattr(ckpt, "adam")
+        path = tmp_path / "w.ckpt"
+        ckpt.save(path)
+        seen = {}
+        rewrite_manifest(path, seen.update)  # an unchanged rewrite, to read the manifest
+        assert set(seen) == {"config", "entries", "provenance"}
+        assert all(e["name"].startswith(("param/", "bn/")) for e in seen["entries"])
 
     def test_copy_is_deep(self, small_vocab):
         ckpt = Checkpoint(tiny_model(small_vocab))
@@ -84,7 +82,19 @@ class TestStrictLoad:
         with pytest.raises(ValueError, match="param/embed.where"):
             Checkpoint.load(saved)
 
+    def test_unknown_kind_is_named(self, saved):
+        def add(m):
+            m["entries"].append({"name": "foo/x", "shape": [], "offset": 0})
+        rewrite_manifest(saved, add)
+        with pytest.raises(ValueError, match="unknown or repeated entry foo/x"):
+            Checkpoint.load(saved)
+
+    def test_previous_format_is_named(self, saved):
+        saved.write_bytes(b"MDAPTCK1" + saved.read_bytes()[8:])
+        with pytest.raises(ValueError, match="checkpoint format MDAPTCK1 is not supported"):
+            Checkpoint.load(saved)
+
     def test_short_payload_is_named(self, saved):
-        saved.write_bytes(saved.read_bytes()[:-8])  # no Adam state: bn entries come last
+        saved.write_bytes(saved.read_bytes()[:-8])  # bn entries come last
         with pytest.raises(ValueError, match="payload too short for entry bn/head.bn2/var"):
             Checkpoint.load(saved)

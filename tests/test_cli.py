@@ -103,8 +103,9 @@ class TestVocabCommand:
 
     def test_manifest_has_input_hashes(self, ws):
         m = read_manifest(ws["vocab"])
-        assert len(m["inputs"]) == 3
-        assert all(len(h) == 64 for h in m["inputs"].values())
+        assert list(m["inputs"]) == ["corpus"]
+        assert len(m["inputs"]["corpus"]) == 3
+        assert all(len(h) == 64 for h in m["inputs"]["corpus"])
 
     def test_too_small_target_exits_2(self, ws, tmp_path, capsys):
         code = run("vocab", "--corpus", ws["corpus_b"], "--target-size", 3,
@@ -119,6 +120,32 @@ class TestConfigSections:
                    "--seed", 7, "--out", tmp_path, *TINY, "--set", "encoder.d_modle=32")
         assert code == 2
         assert "d_modle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("item, key", [
+        ("chunk_size.a=1", "'chunk_size.a'"),     # a path through a scalar
+        ("chunk_sise=64", "'chunk_sise'"),        # a top-level typo
+        ("baseline.epoch=3", "'baseline.epoch'"),  # a typo inside a section
+        ("encoder=5", "'encoder'"),               # a value in place of a section
+    ])
+    def test_bad_key_path_exits_2(self, tmp_path, capsys, item, key):
+        code = run("fixtures", "generate", "--seed", 7, "--out", tmp_path,
+                   "--set", item)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"baseline": {"epoch": 3}}', "'baseline.epoch'"),
+        ('[7]', "expected a JSON object"),
+    ])
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        code = run("fixtures", "generate", "--seed", 7, "--config", cfg_path,
+                   "--out", tmp_path / "out")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and message in err
 
 
 class TestSeedHandling:
@@ -155,6 +182,21 @@ class TestAdaptCommand:
         assert m["config"]["chunk_size"] == 32
         assert m["config"]["seed"] == 7
         assert m["provenance"]["stage"] == "mlm"
+
+    def test_manifest_does_not_depend_on_paths(self, ws, tmp_path):
+        manifests = []
+        for root in (tmp_path / "a", tmp_path / "b" / "deeper"):
+            inputs = root / "in"
+            inputs.mkdir(parents=True)
+            for src in (ws["vocab_path"], ws["corpus_b"], ws["adapted"]):
+                shutil.copy(src, inputs)
+            assert run("adapt", "--vocab", inputs / "vocab.json",
+                       "--corpus", inputs / "corpus_b.jsonl",
+                       "--init", inputs / "adapted.ckpt",
+                       "--seed", 7, "--out", root / "out", *TINY) == 0
+            manifests.append((root / "out" / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert set(json.loads(manifests[0])["inputs"]) == {"vocab", "corpus", "init"}
 
     def test_rerun_byte_identical(self, ws, tmp_path):
         assert run("adapt", "--vocab", ws["vocab_path"], "--corpus",

@@ -51,7 +51,10 @@ class TestPerplexity:
             nats = math.log(v)
             rep = mlm_report(nats, n=1)
             assert_allclose(rep.perplexity, v, rtol=1e-9)
-            assert_allclose(rep.perplexity_nats_base, v, rtol=1e-9)
+
+    def test_reads_reports_with_nats_base_key(self):
+        old = '{"n": 3, "perplexity": 2.5, "perplexity_nats_base": 2.5, "task": "mlm"}'
+        assert EvalReport.from_json(old) == EvalReport(task="mlm", n=3, perplexity=2.5)
 
 
 class TestConfusion:

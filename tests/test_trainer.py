@@ -135,6 +135,40 @@ class TestFinetuneStaged:
         assert_allclose(out.provenance["val_loss"],
                         min(p.val_loss for p in curves))
 
+    @pytest.fixture(scope="class")
+    def adapted(self, small_vocab, small_chunks):
+        out, _ = adapt_mlm(Checkpoint(tiny_model(small_vocab)),
+                           split_chunks(small_chunks), tiny_train_config(), small_vocab)
+        return out
+
+    def test_mlm_head_untouched(self, small_vocab, adapted):
+        cfg = tiny_train_config()
+        cfg.finetune.stage1_epochs = 0  # keep a checkpoint of the unfrozen stage
+        out, _ = finetune_staged(adapted, split_docs(separable_dataset(seed=1)),
+                                 cfg, small_vocab)
+        assert out.provenance["stage"] == "unfrozen"
+        mlm = [n for n in adapted.model.params if n.startswith("mlm.")]
+        assert mlm
+        for name in mlm:
+            assert np.array_equal(out.model.params[name].data,
+                                  adapted.model.params[name].data), name
+
+    def test_depends_only_on_starting_weights(self, small_vocab, adapted):
+        """The adapted arm fine-tunes exactly as a fresh checkpoint holding the
+        same weights and batch-norm statistics would: no state of the MLM run
+        carries over."""
+        fresh = Checkpoint(tiny_model(small_vocab, seed=1))
+        for name, p in adapted.model.params.items():
+            fresh.model.params[name].data = p.data.copy()
+        fresh.model.bn_states = {k: s.copy() for k, s in adapted.model.bn_states.items()}
+        parts = split_docs(separable_dataset(seed=1))
+        cfg = tiny_train_config()
+        out_a, curves_a = finetune_staged(adapted, parts, cfg, small_vocab)
+        out_f, curves_f = finetune_staged(fresh, parts, cfg, small_vocab)
+        assert curves_a == curves_f
+        for name, p in out_a.model.params.items():
+            assert np.array_equal(out_f.model.params[name].data, p.data), name
+
     def test_singleton_tail_batch_merged(self, small_vocab, tiny_checkpoint):
         cfg = tiny_train_config()
         cfg.finetune.batch_size = 8

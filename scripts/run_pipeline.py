@@ -63,8 +63,8 @@ def main():
     corpus_b = os.path.join(d["fixtures"], "corpus_b.jsonl")
     dataset = os.path.join(d["fixtures"], "dataset.jsonl")
 
-    vocab_args = ["--target-size", str(args.vocab_size)] if args.vocab_size \
-        else (["--target-size", "200"] if args.quick else [])
+    vocab_size = args.vocab_size or (200 if args.quick else None)
+    vocab_args = ["--set", f"vocab_target_size={vocab_size}"] if vocab_size else []
     run("vocab", "vocab", "--corpus", corpus_a, corpus_b, dataset,
         *vocab_args, *seed, "--out", d["vocab"], *extra)
     vocab = os.path.join(d["vocab"], "vocab.json")

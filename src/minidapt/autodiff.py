@@ -193,17 +193,12 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named leaf tensor with a freeze flag; frozen parameters keep zero grads."""
+    """A named leaf tensor; `requires_grad` is its freeze flag, and a frozen
+    parameter keeps a zero gradient."""
 
     def __init__(self, name, value, trainable=True):
         super().__init__(value, requires_grad=trainable)
         self.name = name
-        self.trainable = trainable
-        self.zero_grad()
-
-    def set_trainable(self, flag):
-        self.trainable = flag
-        self.requires_grad = flag
         self.zero_grad()
 
 

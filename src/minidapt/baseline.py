@@ -21,7 +21,6 @@ def _terms(text):
 class TfIdfModel:
     term_index: dict
     idf: np.ndarray
-    n_docs_fitted: int
 
 
 def fit_tfidf(docs):
@@ -42,7 +41,7 @@ def fit_tfidf(docs):
     idf = np.empty(len(term_index))
     for t, i in term_index.items():
         idf[i] = math.log((1 + n) / (1 + df[t])) + 1.0
-    return TfIdfModel(term_index=term_index, idf=idf, n_docs_fitted=n)
+    return TfIdfModel(term_index=term_index, idf=idf)
 
 
 def transform(model, doc):
@@ -131,7 +130,7 @@ def load_baseline(path):
     with open(path, encoding="utf-8") as f:
         obj = json.load(f)
     tfidf = TfIdfModel(term_index={t: i for i, t in enumerate(obj["terms"])},
-                       idf=np.array(obj["idf"]), n_docs_fitted=0)
+                       idf=np.array(obj["idf"]))
     lsvm = LsvmModel(weights=np.array(obj["weights"]), bias=obj["bias"],
                      lam=obj["lambda"], epochs_trained=obj["epochs"])
     return tfidf, lsvm

@@ -8,6 +8,7 @@ training loop starts its own optimizer state. load -> save is byte-identical.
 
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 
@@ -24,7 +25,7 @@ class Checkpoint:
     def copy(self):
         m = TransformerModel(self.model.config, init=False)
         for name, p in self.model.params.items():
-            m.params[name] = type(p)(name, p.data.copy(), p.trainable)
+            m.params[name] = type(p)(name, p.data.copy(), p.requires_grad)
         m.bn_states = {k: s.copy() for k, s in self.model.bn_states.items()}
         return Checkpoint(m, dict(self.provenance))
 
@@ -69,29 +70,37 @@ class Checkpoint:
                     raise ValueError(f"{path}: checkpoint format {magic.decode('latin-1')} "
                                      f"is not supported; this version reads {MAGIC.decode()}")
                 raise ValueError(f"{path}: not a checkpoint file")
-            (mlen,) = struct.unpack("<Q", f.read(8))
+            header = f.read(8)
+            if len(header) < 8:
+                raise ValueError(f"{path}: file ends inside the header")
+            (mlen,) = struct.unpack("<Q", header)
             manifest = json.loads(f.read(mlen).decode("utf-8"))
             payload = f.read()
-        config = EncoderConfig.from_dict(manifest["config"])
-        model = TransformerModel(config, init=True)
-        missing = {f"param/{n}" for n in model.params}
-        missing |= {f"bn/{n}/{s}" for n in model.bn_states for s in ("mean", "var")}
+        if not isinstance(manifest, dict) or set(manifest) != {"config", "entries", "provenance"}:
+            raise ValueError(f"{path}: manifest needs the keys config, entries and provenance")
+        odd = set(manifest["config"]) ^ {f.name for f in fields(EncoderConfig)}
+        if odd:
+            raise ValueError(f"{path}: config keys {sorted(odd)} missing or unknown")
+        model = TransformerModel(EncoderConfig.from_dict(manifest["config"]), init=True)
+        expected = dict(cls(model)._entries())  # each entry's array, filled in place
+        end = 0
         for entry in manifest["entries"]:
+            if not isinstance(entry, dict) or set(entry) != {"name", "shape", "offset"}:
+                raise ValueError(f"{path}: entry {entry} needs the keys name, shape and offset")
             name, shape, offset = entry["name"], entry["shape"], entry["offset"]
-            if name not in missing:
+            if name not in expected:
                 raise ValueError(f"{path}: unknown or repeated entry {name}")
-            missing.remove(name)
-            size = int(np.prod(shape)) if shape else 1
-            if offset < 0 or offset + 8 * size > len(payload):
+            arr = expected.pop(name)
+            if tuple(shape) != arr.shape:
+                raise ValueError(f"{path}: entry {name} has shape {shape}, "
+                                 f"expected {list(arr.shape)}")
+            end = max(end, offset + 8 * arr.size)
+            if offset < 0 or end > len(payload):
                 raise ValueError(f"{path}: payload too short for entry {name}")
-            arr = np.frombuffer(payload, dtype="<f8", count=size,
-                                offset=offset).reshape(shape).copy()
-            kind, _, rest = name.partition("/")
-            if kind == "param":
-                model.params[rest].data = arr
-            else:
-                bn_name, _, stat = rest.partition("/")
-                setattr(model.bn_states[bn_name], f"running_{stat}", arr)
-        if missing:
-            raise ValueError(f"{path}: missing entry {min(missing)}")
+            arr[...] = np.frombuffer(payload, dtype="<f8", count=arr.size,
+                                     offset=offset).reshape(arr.shape)
+        if expected:
+            raise ValueError(f"{path}: missing entry {min(expected)}")
+        if end != len(payload):
+            raise ValueError(f"{path}: {len(payload) - end} bytes after the last entry")
         return cls(model, manifest["provenance"])

@@ -7,7 +7,6 @@ hashes so a run can be reproduced byte-for-byte.
 
 import argparse
 import copy
-import csv
 import hashlib
 import json
 import os
@@ -37,14 +36,14 @@ def _section_defaults(cls):
 
 DEFAULTS = {
     "seed": None,
-    "chunk_size": 128,
+    "chunk_size": TrainConfig.chunk_size,
     "vocab_target_size": 512,
     "encoder": _section_defaults(EncoderConfig),
     "mlm": _section_defaults(MLMConfig),
     "finetune": _section_defaults(FinetuneConfig),
     "masking": _section_defaults(MaskingConfig),
     "mlm_split": [0.8, 0.1, 0.1],
-    "cls_split": [0.68, 0.12, 0.20],
+    "cls_split": list(SplitSpec.ratios),
     "baseline": {"lambda_grid": list(bl.DEFAULT_LAMBDA_GRID), "epochs": 50},
 }
 
@@ -180,12 +179,11 @@ def cmd_vocab(args):
     docs = []
     for path in args.corpus:
         docs.extend(load_documents(path, _load_format(path)))
-    target = args.target_size or cfg["vocab_target_size"]
-    vocab = train_vocab([d.text for d in docs], target, seed=cfg["seed"])
+    vocab = train_vocab([d.text for d in docs], cfg["vocab_target_size"], seed=cfg["seed"])
     vocab_path = os.path.join(out, "vocab.json")
     vocab.save(vocab_path)
-    total = sum(len(encode(vocab, d.text).ids) for d in docs)
-    unk = sum(1 for d in docs for i in encode(vocab, d.text).ids if i == vocab.unk_id)
+    ids = [i for d in docs for i in encode(vocab, d.text).ids]
+    total, unk = len(ids), ids.count(vocab.unk_id)
     stats = {"vocab_size": vocab.size, "corpus_tokens": total,
              "coverage": 1.0 - unk / max(total, 1)}
     with open(os.path.join(out, "vocab_stats.json"), "w", encoding="utf-8") as f:
@@ -375,7 +373,6 @@ def build_parser():
 
     p = sub.add_parser("vocab", help="train a subword vocabulary")
     p.add_argument("--corpus", nargs="+", required=True)
-    p.add_argument("--target-size", type=int)
     _common(p)
     p.set_defaults(fn=cmd_vocab)
 

@@ -10,13 +10,12 @@ class Schedule:
     peak_lr: float
     warmup_steps: int
     total_steps: int
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         if not (0 < self.warmup_steps <= self.total_steps):
             raise ValueError("need 0 < warmup_steps <= total_steps")
-        if self.peak_lr <= 0 or self.weight_decay < 0:
-            raise ValueError("peak_lr must be positive, weight_decay non-negative")
+        if self.peak_lr <= 0:
+            raise ValueError("peak_lr must be positive")
 
 
 def lr_at(schedule, step):
@@ -42,15 +41,15 @@ class AdamState:
 
 
 def adam_step(params, state, lr, weight_decay=0.0):
-    """Bias-corrected Adam on trainable parameters; decoupled decay applied
-    after the Adam delta. Frozen parameters and their moments are untouched."""
+    """Bias-corrected Adam on parameters with requires_grad; decoupled decay
+    applied after the Adam delta. Frozen parameters and their moments are untouched."""
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     for p in params:
-        if not p.trainable:
+        if not p.requires_grad:
             continue
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        g = p.grad
         if not np.all(np.isfinite(g)):
             raise ValueError(f"adam_step: non-finite gradient for parameter {p.name!r}")
         if p.name not in state.m:
@@ -70,15 +69,13 @@ def adam_step(params, state, lr, weight_decay=0.0):
 
 
 def set_trainable(model, selector):
-    """selector: 'head-only' freezes everything outside the classifier head;
-    'all' unfreezes every parameter. Returns the trainable tensor count."""
-    if selector == "head-only":
-        head = set(model.head_param_names())
-        for name, p in model.params.items():
-            p.set_trainable(name in head)
-    elif selector == "all":
-        for p in model.params.values():
-            p.set_trainable(True)
-    else:
+    """selector: 'head-only' trains the classifier head alone, 'encoder+mlm'
+    everything outside it, 'all' every parameter; frozen parameters get a zero
+    gradient. Returns the trainable tensor count."""
+    if selector not in ("head-only", "encoder+mlm", "all"):
         raise ValueError(f"unknown selector {selector!r}")
-    return sum(1 for p in model.params.values() if p.trainable)
+    head = set(model.head_param_names())
+    for name, p in model.params.items():
+        p.requires_grad = selector == "all" or (name in head) == (selector == "head-only")
+        p.zero_grad()
+    return sum(p.requires_grad for p in model.params.values())

@@ -2,8 +2,7 @@
 with best-validation-checkpoint selection and curve logging."""
 
 import csv
-import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +26,10 @@ class MLMConfig:
     warmup_steps: int = 1000
     weight_decay: float = 0.01
 
+    def __post_init__(self):
+        if self.weight_decay < 0:
+            raise ValueError("mlm.weight_decay must be non-negative")
+
 
 @dataclass
 class FinetuneConfig:
@@ -45,9 +48,6 @@ class TrainConfig:
     masking: MaskingConfig = field(default_factory=MaskingConfig)
     chunk_size: int = 128
     seed: int = 0
-
-    def to_dict(self):
-        return asdict(self)
 
 
 @dataclass
@@ -77,11 +77,9 @@ def _batches(n, batch_size, merge_singleton=False):
     return out
 
 
-def effective_warmup(total_steps):
-    """1,000 warmup steps, scaled down to total/10 on runs shorter than 10k steps."""
-    if total_steps >= 10000:
-        return 1000
-    return max(1, min(1000, total_steps // 10))
+def effective_warmup(total_steps, warmup_steps=MLMConfig.warmup_steps):
+    """warmup_steps, capped at a tenth of the run and at least 1."""
+    return max(1, min(warmup_steps, total_steps // 10))
 
 
 def _mlm_batch_loss(model, batch, mode, rng=None):
@@ -109,7 +107,8 @@ def mlm_validation_loss(ckpt, chunks, cfg, vocab):
 
 
 def adapt_mlm(init, splits, cfg, vocab):
-    """Run the MLM adaptation loop; returns (final checkpoint, curve points)."""
+    """Run the MLM adaptation loop on the encoder and the MLM head, leaving the
+    classifier head as it is; returns (final checkpoint, curve points)."""
     train_chunks, val_chunks = splits[0], splits[1]
     if not train_chunks or not val_chunks:
         raise ValueError("adapt_mlm: empty split")
@@ -117,15 +116,14 @@ def adapt_mlm(init, splits, cfg, vocab):
         return init.copy(), []
     ckpt = init.copy()
     model = ckpt.model
-    set_trainable(model, "all")
+    set_trainable(model, "encoder+mlm")
     params = list(model.params.values())
     adam = AdamState()
 
     n_batches = len(_batches(len(train_chunks), cfg.mlm.batch_size))
     total_steps = cfg.mlm.epochs * n_batches
-    warmup = effective_warmup(total_steps) if cfg.mlm.warmup_steps == 1000 \
-        else min(cfg.mlm.warmup_steps, total_steps)
-    schedule = Schedule(cfg.mlm.peak_lr, warmup, total_steps, cfg.mlm.weight_decay)
+    schedule = Schedule(cfg.mlm.peak_lr,
+                        effective_warmup(total_steps, cfg.mlm.warmup_steps), total_steps)
 
     shuffle_rng = np.random.default_rng([cfg.seed, _SHUFFLE])
     curves = []
@@ -254,8 +252,7 @@ def evaluate(ckpt, testset, task, cfg, vocab):
         if not testset:
             raise ValueError("evaluate: empty test set")
         nats = mlm_validation_loss(ckpt, testset, cfg, vocab)
-        n = sum(1 for _ in testset)
-        return mlm_report(nats, n)
+        return mlm_report(nats, len(testset))
     elif task == "classify":
         if not testset:
             raise ValueError("evaluate: empty test set")

@@ -275,7 +275,7 @@ def _run_pipeline(root, tag):
     corpus_b = os.path.join(d["fix"], "corpus_b.jsonl")
     dataset = os.path.join(d["fix"], "dataset.jsonl")
     run("vocab", "--corpus", os.path.join(d["fix"], "corpus_a.jsonl"),
-        corpus_b, dataset, "--target-size", "200", *seed,
+        corpus_b, dataset, "--set", "vocab_target_size=200", *seed,
         "--out", d["vocab"], *_TINY_CLI)
     vocab = os.path.join(d["vocab"], "vocab.json")
     run("adapt", "--vocab", vocab, "--corpus", corpus_b, *seed,

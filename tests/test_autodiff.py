@@ -345,7 +345,7 @@ class TestGraphLifetime:
         del loss
         assert interior() is None
         for p in model.params.values():
-            assert p.trainable and p.grad is not None and np.any(p.grad != 0), p.name
+            assert p.requires_grad and p.grad is not None and np.any(p.grad != 0), p.name
 
     def test_eval_graph_dies_with_its_result(self, small_vocab, no_gc):
         model = tiny_model(small_vocab)

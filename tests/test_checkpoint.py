@@ -60,6 +60,13 @@ class TestCheckpointIO:
             raise AssertionError("expected ValueError")
 
 
+def assert_rejected(path, message):
+    """Checkpoint.load raises a ValueError that names the file and says `message`."""
+    with pytest.raises(ValueError) as e:
+        Checkpoint.load(path)
+    assert str(e.value).startswith(f"{path}: ") and message in str(e.value), str(e.value)
+
+
 class TestStrictLoad:
     @pytest.fixture
     def saved(self, small_vocab, tmp_path):
@@ -98,3 +105,39 @@ class TestStrictLoad:
         saved.write_bytes(saved.read_bytes()[:-8])  # bn entries come last
         with pytest.raises(ValueError, match="payload too short for entry bn/head.bn2/var"):
             Checkpoint.load(saved)
+
+    def test_wrong_shape_is_named(self, saved):
+        def reshape(m):
+            for e in m["entries"]:
+                if e["name"] == "param/embed.pos":
+                    e["shape"] = [2, 16]
+        rewrite_manifest(saved, reshape)
+        assert_rejected(saved, "entry param/embed.pos has shape [2, 16], expected [64, 16]")
+
+    @pytest.mark.parametrize("size", [8, 9, 15])
+    def test_file_cut_inside_header(self, saved, size):
+        saved.write_bytes(saved.read_bytes()[:size])
+        assert_rejected(saved, "file ends inside the header")
+
+    def test_trailing_bytes_rejected(self, saved):
+        saved.write_bytes(saved.read_bytes() + bytes(64))
+        assert_rejected(saved, "64 bytes after the last entry")
+
+    # colour is unknown; the others are missing, and max_len has a default
+    @pytest.mark.parametrize("key", ["colour", "max_len", "head_hidden", "vocab_size"])
+    def test_config_key_mismatch_is_named(self, saved, key):
+        def edit(m):
+            if key in m["config"]:
+                del m["config"][key]
+            else:
+                m["config"][key] = "red"
+        rewrite_manifest(saved, edit)
+        assert_rejected(saved, f"config keys ['{key}'] missing or unknown")
+
+    def test_entry_without_offset_rejected(self, saved):
+        rewrite_manifest(saved, lambda m: m["entries"][0].pop("offset"))
+        assert_rejected(saved, "needs the keys name, shape and offset")
+
+    def test_missing_provenance_rejected(self, saved):
+        rewrite_manifest(saved, lambda m: m.pop("provenance"))
+        assert_rejected(saved, "manifest needs the keys config, entries and provenance")

@@ -1,6 +1,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -45,7 +47,7 @@ def ws(tmp_path_factory):
     assert run("fixtures", "generate", "--seed", 7, "--out", d["fix"]) == 0
     corpora = [os.path.join(d["fix"], f"{n}.jsonl")
                for n in ("corpus_a", "corpus_b", "dataset")]
-    assert run("vocab", "--corpus", *corpora, "--target-size", 200,
+    assert run("vocab", "--corpus", *corpora, "--set", "vocab_target_size=200",
                "--seed", 7, "--out", d["vocab"], *TINY) == 0
     vocab_path = os.path.join(d["vocab"], "vocab.json")
     corpus_b = os.path.join(d["fix"], "corpus_b.jsonl")
@@ -107,8 +109,15 @@ class TestVocabCommand:
         assert len(m["inputs"]["corpus"]) == 3
         assert all(len(h) == 64 for h in m["inputs"]["corpus"])
 
+    def test_target_size_flag_is_gone(self, ws, tmp_path, capsys):
+        with pytest.raises(SystemExit) as e:
+            run("vocab", "--corpus", ws["corpus_b"], "--target-size", 200,
+                "--seed", 7, "--out", tmp_path)
+        assert e.value.code == 2
+        assert "--target-size" in capsys.readouterr().err
+
     def test_too_small_target_exits_2(self, ws, tmp_path, capsys):
-        code = run("vocab", "--corpus", ws["corpus_b"], "--target-size", 3,
+        code = run("vocab", "--corpus", ws["corpus_b"], "--set", "vocab_target_size=3",
                    "--seed", 7, "--out", tmp_path)
         assert code == 2
         assert "error:" in capsys.readouterr().err
@@ -120,6 +129,13 @@ class TestConfigSections:
                    "--seed", 7, "--out", tmp_path, *TINY, "--set", "encoder.d_modle=32")
         assert code == 2
         assert "d_modle" in capsys.readouterr().err
+
+    def test_negative_weight_decay_exits_2(self, ws, tmp_path, capsys):
+        code = run("adapt", "--vocab", ws["vocab_path"], "--corpus", ws["corpus_b"],
+                   "--seed", 7, "--out", tmp_path, *TINY, "--set", "mlm.weight_decay=-1")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "weight_decay" in err
 
     @pytest.mark.parametrize("item, key", [
         ("chunk_size.a=1", "'chunk_size.a'"),     # a path through a scalar
@@ -249,6 +265,18 @@ class TestFinetuneCommand:
         assert err.startswith("error:") and "missing entry param/embed.pos" in err
 
 
+class TestPipelineScript:
+    def test_quick_vocab_manifest_records_size_used(self, tmp_path):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        subprocess.run([sys.executable, os.path.join(root, "scripts", "run_pipeline.py"),
+                        "--quick", "--seed", "0", "--out", str(tmp_path)],
+                       env=env, check=True, capture_output=True)
+        with open(tmp_path / "vocab" / "vocab_stats.json") as f:
+            assert json.load(f)["vocab_size"] == 200
+        assert read_manifest(tmp_path / "vocab")["config"]["vocab_target_size"] == 200
+
+
 class TestBaselineCommand:
     def test_outputs_and_lambda(self, ws):
         m = read_manifest(ws["base"])
@@ -289,6 +317,16 @@ class TestEvaluateCommand:
         assert code == 0
         rep = EvalReport.load(tmp_path / "report.json")
         assert rep.task == "classify"
+
+    def test_cut_checkpoint_exits_2(self, ws, tmp_path, capsys):
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(b"MDAPTCK2\x01")
+        code = run("evaluate", "--vocab", ws["vocab_path"], "--ckpt", cut,
+                   "--data", ws["corpus_b"], "--task", "mlm",
+                   "--seed", 7, "--out", tmp_path / "out", *TINY)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "file ends inside the header" in err
 
 
 class TestCompareCommand:

@@ -7,9 +7,8 @@ from minidapt.model import TransformerModel, EncoderConfig
 from minidapt.optim import AdamState, Schedule, adam_step, lr_at, set_trainable
 
 
-def sched(peak=1e-4, warmup=10, total=100, wd=0.0):
-    return Schedule(peak_lr=peak, warmup_steps=warmup, total_steps=total,
-                    weight_decay=wd)
+def sched(peak=1e-4, warmup=10, total=100):
+    return Schedule(peak_lr=peak, warmup_steps=warmup, total_steps=total)
 
 
 class TestSchedule:
@@ -104,7 +103,7 @@ class TestSetTrainable:
         m = self._model()
         # classifier head: 2x(dense w+b) + 2x(bn gamma+beta) + out w+b
         assert set_trainable(m, "head-only") == 10
-        assert set(p.name for p in m.params.values() if p.trainable) == \
+        assert set(p.name for p in m.params.values() if p.requires_grad) == \
             set(m.head_param_names())
 
     def test_head_only_freezes_encoder_through_adam(self):
@@ -117,6 +116,17 @@ class TestSetTrainable:
         for name in m.encoder_param_names():
             assert np.array_equal(m.params[name].data, before[name])
         assert not np.array_equal(m.params["head.out.w"].data, before["head.out.w"])
+
+    def test_encoder_mlm_freezes_exactly_the_head(self):
+        m = self._model()
+        assert set_trainable(m, "encoder+mlm") == len(m.params) - 10
+        assert {n for n, p in m.params.items() if not p.requires_grad} == \
+            set(m.head_param_names())
+
+    def test_requires_grad_is_the_only_freeze_flag(self):
+        p = Parameter("w", np.zeros(2), trainable=False)
+        assert not p.requires_grad
+        assert not hasattr(p, "trainable") and not hasattr(p, "set_trainable")
 
     def test_unknown_selector(self):
         with pytest.raises(ValueError):

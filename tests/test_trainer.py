@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from minidapt.checkpoint import Checkpoint
 from minidapt.corpus import Chunk
 from minidapt.fixtures import separable_dataset
-from minidapt.trainer import (CurvePoint, adapt_mlm, effective_warmup,
+from minidapt.trainer import (CurvePoint, MLMConfig, adapt_mlm, effective_warmup,
                               encode_examples, evaluate, finetune_staged,
                               mlm_validation_loss, write_curves)
 
@@ -42,6 +42,21 @@ class TestWarmupScaling:
     def test_never_zero(self):
         assert effective_warmup(5) == 1
 
+    def test_default_equals_the_thousand_step_rule(self):
+        # 1000 steps on runs of 10,000 steps or more, else a tenth of the run, at least 1
+        old = [1000 if t >= 10000 else max(1, min(1000, t // 10)) for t in range(1, 50_001)]
+        assert [effective_warmup(t, 1000) for t in range(1, 50_001)] == old
+
+    def test_explicit_value_capped_at_tenth(self):
+        assert effective_warmup(500, 20) == 20
+        assert effective_warmup(500, 80) == 50
+        assert effective_warmup(5, 3) == 1
+
+
+def test_negative_weight_decay_rejected():
+    with pytest.raises(ValueError, match="weight_decay"):
+        MLMConfig(weight_decay=-1)
+
 
 class TestAdaptMlm:
     def test_zero_epochs_identity(self, small_vocab, small_chunks, tiny_checkpoint):
@@ -72,6 +87,20 @@ class TestAdaptMlm:
         assert curves[-1].train_loss < curves[0].train_loss
         assert len(curves) == 3
         assert out.provenance["stage"] == "mlm"
+
+    def test_classifier_head_keeps_its_init(self, small_vocab, small_chunks,
+                                            tiny_checkpoint):
+        init = tiny_checkpoint.model
+        out, _ = adapt_mlm(tiny_checkpoint, split_chunks(small_chunks),
+                           tiny_train_config(), small_vocab)
+        for name in init.head_param_names():
+            assert out.model.params[name].data.tobytes() == \
+                init.params[name].data.tobytes(), name
+        for name, s in init.bn_states.items():
+            assert out.model.bn_states[name].running_mean.tobytes() == s.running_mean.tobytes()
+            assert out.model.bn_states[name].running_var.tobytes() == s.running_var.tobytes()
+        assert encoder_hash(out.model) != encoder_hash(init)
+        assert not np.array_equal(out.model.params["mlm.b"].data, init.params["mlm.b"].data)
 
     def test_empty_split_errors(self, small_vocab, tiny_checkpoint):
         with pytest.raises(ValueError):

@@ -78,24 +78,35 @@ class Checkpoint:
             payload = f.read()
         if not isinstance(manifest, dict) or set(manifest) != {"config", "entries", "provenance"}:
             raise ValueError(f"{path}: manifest needs the keys config, entries and provenance")
+        if not isinstance(manifest["config"], dict) or not isinstance(manifest["entries"], list):
+            raise ValueError(f"{path}: manifest config must be an object and entries a list")
         odd = set(manifest["config"]) ^ {f.name for f in fields(EncoderConfig)}
         if odd:
             raise ValueError(f"{path}: config keys {sorted(odd)} missing or unknown")
-        model = TransformerModel(EncoderConfig.from_dict(manifest["config"]), init=True)
-        expected = dict(cls(model)._entries())  # each entry's array, filled in place
-        end = 0
+        try:
+            config = EncoderConfig.from_dict(manifest["config"])
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{path}: config: {e}") from None
+        model = TransformerModel(config, init=True)
+        # save writes the entries back to back in _entries() order
+        expected, start, end = {}, {}, 0  # each entry's array, filled in place
+        for name, arr in cls(model)._entries():
+            expected[name], start[name] = arr, end
+            end += 8 * arr.size
         for entry in manifest["entries"]:
             if not isinstance(entry, dict) or set(entry) != {"name", "shape", "offset"}:
                 raise ValueError(f"{path}: entry {entry} needs the keys name, shape and offset")
             name, shape, offset = entry["name"], entry["shape"], entry["offset"]
-            if name not in expected:
+            if not isinstance(name, str) or name not in expected:
                 raise ValueError(f"{path}: unknown or repeated entry {name}")
             arr = expected.pop(name)
-            if tuple(shape) != arr.shape:
+            if not isinstance(shape, list) or tuple(shape) != arr.shape:
                 raise ValueError(f"{path}: entry {name} has shape {shape}, "
                                  f"expected {list(arr.shape)}")
-            end = max(end, offset + 8 * arr.size)
-            if offset < 0 or end > len(payload):
+            if type(offset) is not int or offset != start[name]:
+                raise ValueError(f"{path}: entry {name} has offset {offset!r}, "
+                                 f"expected {start[name]}")
+            if offset + 8 * arr.size > len(payload):
                 raise ValueError(f"{path}: payload too short for entry {name}")
             arr[...] = np.frombuffer(payload, dtype="<f8", count=arr.size,
                                      offset=offset).reshape(arr.shape)

@@ -30,11 +30,14 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("vocab_size", "num_layers", "d_model", "num_heads", "d_ff", "max_len"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.d_model % self.num_heads != 0:
             raise ValueError("d_model must be divisible by num_heads")
-        for name in ("vocab_size", "num_layers", "d_model", "num_heads", "d_ff", "max_len"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
     def to_dict(self):
         d = self.__dict__.copy()

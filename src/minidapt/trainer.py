@@ -18,6 +18,19 @@ from .optim import AdamState, Schedule, adam_step, lr_at, set_trainable
 _SHUFFLE, _TRAIN_MASK, _VAL_MASK, _DROPOUT, _FT_SHUFFLE, _FT_DROPOUT = range(6)
 
 
+def _check(section, cfg, at_least=(), positive=()):
+    """Reject a count below its minimum or a learning rate that is not
+    positive, naming the key."""
+    for name, low in at_least:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ValueError(f"{section}.{name} must be an integer >= {low}")
+    for name in positive:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+            raise ValueError(f"{section}.{name} must be positive")
+
+
 @dataclass
 class MLMConfig:
     epochs: int = 7
@@ -27,6 +40,7 @@ class MLMConfig:
     weight_decay: float = 0.01
 
     def __post_init__(self):
+        _check("mlm", self, [("epochs", 0), ("batch_size", 1)], ["peak_lr"])
         if self.weight_decay < 0:
             raise ValueError("mlm.weight_decay must be non-negative")
 
@@ -38,6 +52,11 @@ class FinetuneConfig:
     batch_size: int = 32
     lr_frozen: float = 1e-5
     lr_unfrozen: float = 1e-6
+
+    def __post_init__(self):
+        # a batch of one cannot run train-mode batch norm
+        _check("finetune", self, [("stage1_epochs", 0), ("stage2_epochs", 0), ("batch_size", 2)],
+               ["lr_frozen", "lr_unfrozen"])
 
 
 @dataclass
@@ -83,11 +102,11 @@ def effective_warmup(total_steps, warmup_steps=MLMConfig.warmup_steps):
 
 
 def _mlm_batch_loss(model, batch, mode, rng=None):
+    """The MLM head and loss run on the labelled positions only."""
     hidden = model.encode_forward(batch.input_ids, pad_mask=None, mode=mode, rng=rng)
-    logits = model.mlm_logits(hidden)
-    loss = masked_cross_entropy(logits, batch.labels)
-    n_labeled = int((batch.labels != IGNORE_LABEL).sum())
-    return loss, n_labeled
+    labeled = batch.labels != IGNORE_LABEL
+    loss = masked_cross_entropy(model.mlm_logits(hidden[labeled]), batch.labels[labeled])
+    return loss, int(labeled.sum())
 
 
 def mlm_validation_loss(ckpt, chunks, cfg, vocab):
@@ -169,13 +188,22 @@ def encode_examples(docs, vocab, max_len):
     return ids, mask, labels
 
 
+def _trim(ids, mask):
+    """Cut a batch of left-aligned, PAD-padded rows to its longest real row.
+    A PAD key gets attention weight exactly 0 and nothing reads a PAD query,
+    so only the float summation order and the dropout mask's shape change."""
+    w = int(mask.sum(axis=1).max())
+    return ids[:, :w], mask[:, :w]
+
+
 def _classifier_eval(ckpt, ids, mask, labels, batch_size):
     """Eval-mode loss, accuracy, and probabilities over a dataset."""
     model = ckpt.model
     probs = np.empty(len(ids))
     total = 0.0
     for idx in _batches(len(ids), batch_size):
-        hidden = model.encode_forward(ids[idx], pad_mask=mask[idx], mode="eval")
+        b_ids, b_mask = _trim(ids[idx], mask[idx])
+        hidden = model.encode_forward(b_ids, pad_mask=b_mask, mode="eval")
         logits = model.classify_logits(hidden, mode="eval")
         total += float(bce_with_logits(logits, labels[idx]).data) * len(idx)
         probs[idx] = stable_sigmoid(logits.data)
@@ -218,7 +246,8 @@ def finetune_staged(base, dataset_splits, cfg, vocab):
                 drop_rng = np.random.default_rng(
                     [cfg.seed, _FT_DROPOUT, stage_idx, epoch, bidx])
                 model.zero_grads()
-                hidden = model.encode_forward(tr_ids[sel], pad_mask=tr_mask[sel],
+                b_ids, b_mask = _trim(tr_ids[sel], tr_mask[sel])
+                hidden = model.encode_forward(b_ids, pad_mask=b_mask,
                                               mode="train", rng=drop_rng)
                 logits = model.classify_logits(hidden, mode="train", rng=drop_rng)
                 loss = bce_with_logits(logits, tr_labels[sel])

@@ -62,3 +62,30 @@ def rewrite_manifest(path, edit):
     edit(manifest)
     mbytes = json.dumps(manifest).encode("utf-8")
     path.write_bytes(MAGIC + struct.pack("<Q", len(mbytes)) + mbytes + raw[16 + mlen:])
+
+
+def _first_entry(**values):
+    return lambda m: m["entries"][0].update(values)
+
+
+def _config(**values):
+    return lambda m: m["config"].update(values)
+
+
+# manifest values of the wrong type or place, each as (edit, what the error
+# says); the first entry is param/embed.pos, at offset 0
+BAD_MANIFEST_VALUES = {
+    "offset-str": (_first_entry(offset="0"), "entry param/embed.pos has offset '0', expected 0"),
+    "offset-float": (_first_entry(offset=0.0), "entry param/embed.pos has offset 0.0"),
+    "offset-bool": (_first_entry(offset=True), "entry param/embed.pos has offset True"),
+    "offset-overlap": (lambda m: m["entries"][1].update(offset=0),
+                       "entry param/embed.tok has offset 0, expected"),
+    "shape-null": (_first_entry(shape=None), "entry param/embed.pos has shape None"),
+    "name-list": (_first_entry(name=["param/embed.pos"]),
+                  "unknown or repeated entry ['param/embed.pos']"),
+    "entries-int": (lambda m: m.update(entries=5), "entries a list"),
+    "config-list": (lambda m: m.update(config=[]), "config must be an object"),
+    "size-str": (_config(num_layers="1"), "config: num_layers must be an int, got '1'"),
+    "size-bool": (_config(d_ff=True), "config: d_ff must be an int, got True"),
+    "head-int": (_config(head_hidden=5), "config: "),
+}

@@ -3,7 +3,7 @@ import pytest
 
 from minidapt.checkpoint import Checkpoint
 
-from conftest import rewrite_manifest, tiny_model
+from conftest import BAD_MANIFEST_VALUES, rewrite_manifest, tiny_model
 
 
 class TestCheckpointIO:
@@ -141,3 +141,9 @@ class TestStrictLoad:
     def test_missing_provenance_rejected(self, saved):
         rewrite_manifest(saved, lambda m: m.pop("provenance"))
         assert_rejected(saved, "manifest needs the keys config, entries and provenance")
+
+    @pytest.mark.parametrize("case", sorted(BAD_MANIFEST_VALUES))
+    def test_wrong_value_type_rejected(self, saved, case):
+        edit, message = BAD_MANIFEST_VALUES[case]
+        rewrite_manifest(saved, edit)
+        assert_rejected(saved, message)

@@ -11,7 +11,7 @@ from minidapt.cli import main
 from minidapt.metrics import EvalReport
 from minidapt.tokenizer import Vocabulary
 
-from conftest import rewrite_manifest
+from conftest import BAD_MANIFEST_VALUES, rewrite_manifest
 
 TINY = [
     "--set", "encoder.num_layers=1",
@@ -136,6 +136,19 @@ class TestConfigSections:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "weight_decay" in err
+
+    @pytest.mark.parametrize("item", [
+        "mlm.epochs=-1", "mlm.batch_size=0", "mlm.peak_lr=0",
+        "finetune.stage1_epochs=-1", "finetune.stage2_epochs=-2",
+        "finetune.batch_size=0", "finetune.batch_size=1",
+        "finetune.lr_frozen=-0.1", "finetune.lr_unfrozen=0",
+    ])
+    def test_impossible_training_setting_exits_2(self, ws, tmp_path, capsys, item):
+        code = run("adapt", "--vocab", ws["vocab_path"], "--corpus", ws["corpus_b"],
+                   "--seed", 7, "--out", tmp_path, *TINY, "--set", item)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {item.partition('=')[0]} must be")
 
     @pytest.mark.parametrize("item, key", [
         ("chunk_size.a=1", "'chunk_size.a'"),     # a path through a scalar
@@ -327,6 +340,20 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "file ends inside the header" in err
+
+
+    @pytest.mark.parametrize("case", sorted(BAD_MANIFEST_VALUES))
+    def test_wrong_manifest_value_exits_2(self, ws, tmp_path, capsys, case):
+        edit, message = BAD_MANIFEST_VALUES[case]
+        broken = tmp_path / "broken.ckpt"
+        shutil.copyfile(ws["adapted"], broken)
+        rewrite_manifest(broken, edit)
+        code = run("evaluate", "--vocab", ws["vocab_path"], "--ckpt", broken,
+                   "--data", ws["corpus_b"], "--task", "mlm",
+                   "--seed", 7, "--out", tmp_path / "out", *TINY)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {broken}: ") and message in err
 
 
 class TestCompareCommand:

@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from minidapt.autodiff import IGNORE_LABEL, bce_with_logits, masked_cross_entropy
 from minidapt.checkpoint import Checkpoint
 from minidapt.corpus import Chunk
 from minidapt.fixtures import separable_dataset
-from minidapt.trainer import (CurvePoint, MLMConfig, adapt_mlm, effective_warmup,
-                              encode_examples, evaluate, finetune_staged,
-                              mlm_validation_loss, write_curves)
+from minidapt.masking import collate
+from minidapt.model import TransformerModel
+from minidapt.trainer import (CurvePoint, FinetuneConfig, MLMConfig, _mlm_batch_loss,
+                              _trim, adapt_mlm, effective_warmup, encode_examples,
+                              evaluate, finetune_staged, mlm_validation_loss,
+                              write_curves)
 
 from conftest import tiny_model, tiny_train_config
 
@@ -56,6 +60,25 @@ class TestWarmupScaling:
 def test_negative_weight_decay_rejected():
     with pytest.raises(ValueError, match="weight_decay"):
         MLMConfig(weight_decay=-1)
+
+
+# (config class, field, a value it rejects, what the error says)
+IMPOSSIBLE_SETTINGS = [
+    (MLMConfig, "epochs", -1, "mlm.epochs must be an integer >= 0"),
+    (MLMConfig, "batch_size", 0, "mlm.batch_size must be an integer >= 1"),
+    (MLMConfig, "peak_lr", 0.0, "mlm.peak_lr must be positive"),
+    (FinetuneConfig, "stage1_epochs", -1, "finetune.stage1_epochs must be an integer >= 0"),
+    (FinetuneConfig, "stage2_epochs", 1.5, "finetune.stage2_epochs must be an integer >= 0"),
+    (FinetuneConfig, "batch_size", 1, "finetune.batch_size must be an integer >= 2"),
+    (FinetuneConfig, "lr_frozen", -0.1, "finetune.lr_frozen must be positive"),
+    (FinetuneConfig, "lr_unfrozen", "1e-6", "finetune.lr_unfrozen must be positive"),
+]
+
+
+@pytest.mark.parametrize("cls, name, value, message", IMPOSSIBLE_SETTINGS)
+def test_impossible_setting_rejected(cls, name, value, message):
+    with pytest.raises(ValueError, match=message):
+        cls(**{name: value})
 
 
 class TestAdaptMlm:
@@ -272,3 +295,99 @@ class TestCurves:
         assert lines[0] == "stage,epoch,train_loss,val_loss,train_acc,val_acc"
         assert lines[1].startswith("mlm,1,2.5,2.6,,")
         assert lines[2].startswith("frozen,1,0.7,0.68,0.5,0.55")
+
+
+def _spy(monkeypatch, method):
+    """Record the arguments of every call to TransformerModel.<method>."""
+    calls = []
+    real = getattr(TransformerModel, method)
+
+    def spy(self, *args, **kw):
+        calls.append((args, kw))
+        return real(self, *args, **kw)
+
+    monkeypatch.setattr(TransformerModel, method, spy)
+    return calls
+
+
+def _padded_batch(vocab):
+    """Six rows of different real lengths, all shorter than the tiny model's
+    max_len and padded to it."""
+    ids, mask, labels = encode_examples(separable_dataset(seed=1, n=20), vocab, 64)
+    keep = np.flatnonzero(mask.sum(axis=1) < 64)[:6]
+    lengths = mask[keep].sum(axis=1)
+    assert len(keep) == 6 and lengths.min() < lengths.max()
+    return ids[keep], mask[keep], labels[keep]
+
+
+class TestComputeOnlyWhatIsRead:
+    def test_classifier_forwards_run_at_longest_real_row(self, small_vocab,
+                                                         tiny_checkpoint, monkeypatch):
+        calls = _spy(monkeypatch, "encode_forward")
+        parts = split_docs(separable_dataset(seed=1))
+        cfg = tiny_train_config()
+        out, _ = finetune_staged(tiny_checkpoint, parts, cfg, small_vocab)
+        evaluate(out, parts[2], "classify", cfg, small_vocab)
+        widths = [ids.shape[1] for (ids,), _ in calls]
+        assert widths == [kw["pad_mask"].sum(axis=1).max() for _, kw in calls]
+        assert min(widths) < 64  # some batches are narrower than max_len
+        assert {kw["mode"] for _, kw in calls} == {"train", "eval"}
+
+    def test_mlm_head_gets_exactly_the_labelled_rows(self, small_vocab, small_chunks,
+                                                     tiny_checkpoint, monkeypatch):
+        model = tiny_checkpoint.model
+        batch = collate(small_chunks[:4], tiny_train_config().masking, small_vocab,
+                        np.random.default_rng(0))
+        labeled = batch.labels != IGNORE_LABEL
+        full = model.encode_forward(batch.input_ids, mode="eval").data
+        calls = _spy(monkeypatch, "mlm_logits")
+        _, n = _mlm_batch_loss(model, batch, "eval")
+        assert len(calls) == 1 and n == labeled.sum() > 0
+        (hidden,), _ = calls[0]
+        assert np.array_equal(hidden.data, full[labeled])
+
+    def test_trimmed_eval_logits_match_full_width(self, small_vocab, tiny_checkpoint):
+        model = tiny_checkpoint.model
+        ids, mask, _ = _padded_batch(small_vocab)
+
+        def logits(ids, mask):
+            return model.classify_logits(model.encode_forward(ids, pad_mask=mask)).data
+
+        assert_allclose(logits(*_trim(ids, mask)), logits(ids, mask), rtol=0, atol=1e-12)
+
+    def test_trimmed_train_step_matches_full_width(self, small_vocab):
+        ids, mask, labels = _padded_batch(small_vocab)
+        results = []
+        for b_ids, b_mask in ((ids, mask), _trim(ids, mask)):
+            model = tiny_model(small_vocab, dropout_rate=0.0)
+            rng = np.random.default_rng(3)
+            hidden = model.encode_forward(b_ids, pad_mask=b_mask, mode="train", rng=rng)
+            loss = bce_with_logits(model.classify_logits(hidden, "train", rng), labels)
+            loss.backward()
+            results.append((float(loss.data),
+                            {n: p.grad.copy() for n, p in model.params.items()}))
+        (loss_full, grads_full), (loss_trim, grads_trim) = results
+        assert abs(loss_trim - loss_full) <= 1e-12
+        for name, g in grads_full.items():
+            scale = max(np.abs(g).max(), 1e-300)
+            assert np.abs(grads_trim[name] - g).max() <= 1e-12 * scale, name
+
+    def test_gathered_mlm_loss_matches_full_logits(self, small_vocab, small_chunks):
+        batch = collate(small_chunks[:4], tiny_train_config().masking, small_vocab,
+                        np.random.default_rng(0))
+        results = []
+        for gathered in (True, False):
+            model = tiny_model(small_vocab)
+            rng = np.random.default_rng(5)
+            if gathered:
+                loss, _ = _mlm_batch_loss(model, batch, "train", rng)
+            else:
+                hidden = model.encode_forward(batch.input_ids, mode="train", rng=rng)
+                loss = masked_cross_entropy(model.mlm_logits(hidden), batch.labels)
+            loss.backward()
+            results.append((float(loss.data),
+                            {n: p.grad.copy() for n, p in model.params.items()}))
+        (loss_g, grads_g), (loss_f, grads_f) = results
+        assert abs(loss_g - loss_f) <= 1e-12
+        for name, g in grads_f.items():
+            assert_allclose(grads_g[name], g, rtol=0, atol=1e-12, err_msg=name)

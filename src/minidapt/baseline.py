@@ -11,6 +11,7 @@ from .metrics import classification_report
 from .tokenizer import normalize_whitespace
 
 DEFAULT_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+DEFAULT_EPOCHS = 50
 
 
 def _terms(text):
@@ -86,23 +87,30 @@ def train_lsvm(X, y, lam, epochs, seed=0):
     s = np.where(y == 1, 1.0, -1.0)
     if lam <= 0:
         raise ValueError("train_lsvm: lambda must be positive")
+    # rows as views, signs as Python floats and ndarray.dot (not the matmul
+    # gufunc) keep the per-example NumPy dispatches few; the arithmetic and
+    # its order are the textbook loop's
+    rows = list(X)
+    signs = s.tolist()
     rng = np.random.default_rng(seed)
     w = np.zeros(X.shape[1])
     b = 0.0
     t = 0
     for _ in range(epochs):
-        for i in rng.permutation(len(X)):
+        for i in rng.permutation(len(rows)).tolist():
             t += 1
             eta = 1.0 / (lam * t)
-            margin = s[i] * (X[i] @ w + b)
+            si = signs[i]
+            margin = si * (rows[i].dot(w) + b)
             w *= 1.0 - eta * lam
             if margin < 1:
-                w += eta * s[i] * X[i]
-                b += eta * s[i]
+                w += eta * si * rows[i]
+                b += eta * si
     return LsvmModel(weights=w, bias=b, lam=lam, epochs_trained=epochs)
 
 
-def tune_lsvm(train, val, lambda_grid=DEFAULT_LAMBDA_GRID, epochs=50, seed=0):
+def tune_lsvm(train, val, lambda_grid=DEFAULT_LAMBDA_GRID, epochs=DEFAULT_EPOCHS,
+              seed=0):
     """Grid search on validation F1; ties break toward the larger lambda."""
     (X_tr, y_tr), (X_va, y_va) = train, val
     if not len(lambda_grid):

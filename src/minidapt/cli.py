@@ -44,7 +44,8 @@ DEFAULTS = {
     "masking": _section_defaults(MaskingConfig),
     "mlm_split": [0.8, 0.1, 0.1],
     "cls_split": list(SplitSpec.ratios),
-    "baseline": {"lambda_grid": list(bl.DEFAULT_LAMBDA_GRID), "epochs": 50},
+    "baseline": {"lambda_grid": list(bl.DEFAULT_LAMBDA_GRID),
+                 "epochs": bl.DEFAULT_EPOCHS},
 }
 
 

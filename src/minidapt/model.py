@@ -38,6 +38,11 @@ class EncoderConfig:
                 raise ValueError(f"{name} must be positive")
         if self.d_model % self.num_heads != 0:
             raise ValueError("d_model must be divisible by num_heads")
+        for name in ("dropout_rate", "head_dropout"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0 <= value < 1):
+                raise ValueError(f"{name} must be a number in [0, 1), got {value!r}")
 
     def to_dict(self):
         d = self.__dict__.copy()

@@ -5,7 +5,7 @@ pieces carry a "##" prefix so whole words can be reassembled losslessly.
 """
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
@@ -22,6 +22,12 @@ class Vocabulary:
     tokens: list
     token_to_id: dict = field(init=False)
     special_ids: frozenset = field(init=False, repr=False)
+    # encode's state: the ids a word's first and later pieces may take,
+    # keyed by the piece's text without "##" (structural specials never come
+    # from raw text), and the ids of every word it has segmented
+    _first: dict = field(init=False, repr=False, compare=False)
+    _later: dict = field(init=False, repr=False, compare=False)
+    _word_ids: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.token_to_id = {t: i for i, t in enumerate(self.tokens)}
@@ -31,6 +37,10 @@ class Vocabulary:
             if s not in self.token_to_id:
                 raise ValueError(f"missing special token {s}")
         self.special_ids = frozenset(self.token_to_id[s] for s in SPECIALS)
+        self._first = {t: i for t, i in self.token_to_id.items() if t not in SPECIALS}
+        self._later = {t[len(CONT):]: i for t, i in self.token_to_id.items()
+                       if t.startswith(CONT)}
+        self._word_ids = {}
 
     @property
     def size(self):
@@ -90,12 +100,8 @@ def _word_symbols(word):
 
 def base_symbols(corpus):
     """Distinct word-initial and continuation symbols over a corpus."""
-    syms = set()
-    for doc in corpus:
-        for word in normalize_whitespace(doc).split(" "):
-            if word:
-                syms.update(_word_symbols(word))
-    return syms
+    words = {word for doc in corpus for word in doc.split()}
+    return {s for word in words for s in _word_symbols(word)}
 
 
 def train_vocab(corpus, target_size, seed=0):
@@ -103,40 +109,47 @@ def train_vocab(corpus, target_size, seed=0):
     most frequent adjacent pair (lexicographic tie-break) until `target_size`
     tokens exist or no pair occurs twice. Deterministic; `seed` is accepted
     for interface uniformity but unused.
+
+    Pair counts are kept across merges, as in Sennrich et al.'s BPE: a merge
+    re-segments only the distinct words that hold the chosen pair.
     """
-    corpus = list(corpus)
-    if not corpus or not any(normalize_whitespace(d) for d in corpus):
+    word_freq = Counter(word for doc in corpus for word in doc.split())
+    if not word_freq:
         raise ValueError("train_vocab: empty corpus")
 
-    word_freq = Counter()
-    for doc in corpus:
-        for word in normalize_whitespace(doc).split(" "):
-            if word:
-                word_freq[word] += 1
-
-    symbols = sorted(base_symbols(corpus))
+    symbols = sorted(base_symbols(word_freq))  # a distinct word is a one-word text
     minimum = len(SPECIALS) + len(symbols)
     if target_size < minimum:
         raise ValueError(
             f"train_vocab: target_size {target_size} below minimum {minimum} "
             f"(specials + base symbols)")
 
-    # each word as a mutable symbol sequence, weighted by frequency
-    words = [( _word_symbols(w), f) for w, f in sorted(word_freq.items())]
+    # each distinct word as a symbol sequence, weighted by frequency; `where`
+    # maps a pair to the words that may hold it (a superset: entries go stale)
+    freqs = list(word_freq.values())
+    words = [_word_symbols(w) for w in word_freq]
+    pairs = Counter()
+    where = defaultdict(set)
+    for k, syms in enumerate(words):
+        for p in zip(syms, syms[1:]):
+            pairs[p] += freqs[k]
+            where[p].add(k)
     vocab = list(SPECIALS) + symbols
     seen = set(vocab)
     while len(vocab) < target_size:
-        pairs = Counter()
-        for syms, f in words:
-            for a, b in zip(syms, syms[1:]):
-                pairs[(a, b)] += f
-        candidates = [(c, p) for p, c in pairs.items() if c >= 2]
-        if not candidates:
+        best_count = max(pairs.values(), default=0)
+        if best_count < 2:
             break
-        best_count = max(c for c, _ in candidates)
-        pair = min(p for c, p in candidates if c == best_count)
+        pair = min(p for p, c in pairs.items() if c == best_count)
         merged = pair[0] + pair[1].removeprefix(CONT)
-        words = [(_merge_pair(syms, pair, merged), f) for syms, f in words]
+        for k in where.pop(pair):
+            syms, f = words[k], freqs[k]
+            for p in zip(syms, syms[1:]):
+                pairs[p] -= f
+            words[k] = syms = _merge_pair(syms, pair, merged)
+            for p in zip(syms, syms[1:]):
+                pairs[p] += f
+                where[p].add(k)
         if merged not in seen:
             vocab.append(merged)
             seen.add(merged)
@@ -157,41 +170,40 @@ def _merge_pair(syms, pair, merged):
 
 
 def _segment_word(vocab, word):
-    """Greedy longest-match segmentation; None if the word cannot be covered."""
-    pieces = []
+    """Greedy longest-match segmentation into token ids; None if the word
+    cannot be covered."""
+    table = vocab._first
+    ids = []
     i = 0
     while i < len(word):
-        prefix = "" if i == 0 else CONT
-        match = None
         for j in range(len(word), i, -1):
-            cand = prefix + word[i:j]
-            # structural specials never come from raw text
-            if cand in vocab.token_to_id and cand not in SPECIALS:
-                match = cand
+            k = table.get(word[i:j])
+            if k is not None:
+                ids.append(k)
                 i = j
                 break
-        if match is None:
+        else:
             return None
-        pieces.append(match)
-    return pieces
+        table = vocab._later
+    return ids
 
 
 def encode(vocab, text):
     """Whitespace-split then greedy-segment each word; unsegmentable words
-    become a single UNK. word_begin marks each word's first token."""
+    become a single UNK. word_begin marks each word's first token. Each
+    distinct word is segmented once per vocabulary and its ids cached."""
+    cache = vocab._word_ids
     ids = []
     word_begin = []
-    for word in normalize_whitespace(text).split(" "):
-        if not word:
-            continue
-        pieces = _segment_word(vocab, word)
-        if pieces is None:
-            ids.append(vocab.unk_id)
-            word_begin.append(True)
-        else:
-            for k, p in enumerate(pieces):
-                ids.append(vocab.token_to_id[p])
-                word_begin.append(k == 0)
+    for word in text.split():
+        word_ids = cache.get(word)
+        if word_ids is None:
+            segmented = _segment_word(vocab, word)
+            word_ids = cache[word] = ((vocab.unk_id,) if segmented is None
+                                      else tuple(segmented))
+        ids += word_ids
+        word_begin.append(True)
+        word_begin += [False] * (len(word_ids) - 1)
     return EncodedText(ids=ids, word_begin=word_begin)
 
 

@@ -88,4 +88,6 @@ BAD_MANIFEST_VALUES = {
     "size-str": (_config(num_layers="1"), "config: num_layers must be an int, got '1'"),
     "size-bool": (_config(d_ff=True), "config: d_ff must be an int, got True"),
     "head-int": (_config(head_hidden=5), "config: "),
+    "dropout-str": (_config(dropout_rate="0.1"),
+                    "config: dropout_rate must be a number in [0, 1), got '0.1'"),
 }

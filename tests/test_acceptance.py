@@ -263,9 +263,10 @@ _TINY_CLI = [
 
 
 def _run_pipeline(root, tag):
-    """fixtures -> vocab -> adapt -> finetune(adapted & vanilla); returns dirs."""
+    """fixtures -> vocab -> adapt -> finetune(adapted & vanilla) -> baseline;
+    returns dirs."""
     d = {k: os.path.join(root, f"{tag}_{k}")
-         for k in ("fix", "vocab", "adapt", "ft_adapted", "ft_vanilla")}
+         for k in ("fix", "vocab", "adapt", "ft_adapted", "ft_vanilla", "baseline")}
     seed = ["--seed", "11"]
 
     def run(*argv):
@@ -285,6 +286,7 @@ def _run_pipeline(root, tag):
         "--out", d["ft_adapted"], *_TINY_CLI)
     run("finetune", "--vocab", vocab, "--dataset", dataset,
         "--base", "vanilla", *seed, "--out", d["ft_vanilla"], *_TINY_CLI)
+    run("baseline", "--dataset", dataset, *seed, "--out", d["baseline"])
     return d
 
 
@@ -370,11 +372,13 @@ def test_11_baseline_oracles():
 def test_12_determinism(pipeline_runs):
     _, d1, d2 = pipeline_runs
     diffs = []
-    for key, files in [("adapt", ("adapted.ckpt", "curves.csv", "report.json")),
+    for key, files in [("vocab", ("vocab.json", "vocab_stats.json")),
+                       ("adapt", ("adapted.ckpt", "curves.csv", "report.json")),
                        ("ft_adapted", ("classifier.ckpt", "curves.csv",
                                        "report.json")),
                        ("ft_vanilla", ("classifier.ckpt", "curves.csv",
-                                       "report.json"))]:
+                                       "report.json")),
+                       ("baseline", ("baseline.json", "report.json"))]:
         for name in files:
             a = open(os.path.join(d1[key], name), "rb").read()
             b = open(os.path.join(d2[key], name), "rb").read()

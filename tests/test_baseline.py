@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from minidapt.baseline import (DEFAULT_LAMBDA_GRID, fit_tfidf, load_baseline,
@@ -63,7 +64,42 @@ class TestTransform:
         assert_allclose(v1, v2, atol=1e-12)
 
 
+def reference_lsvm(X, y, lam, epochs, seed=0):
+    """The textbook Pegasos loop, indexing the matrix per example."""
+    s = np.where(y == 1, 1.0, -1.0)
+    rng = np.random.default_rng(seed)
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(len(X)):
+            t += 1
+            eta = 1.0 / (lam * t)
+            margin = s[i] * (X[i] @ w + b)
+            w *= 1.0 - eta * lam
+            if margin < 1:
+                w += eta * s[i] * X[i]
+                b += eta * s[i]
+    return w, b
+
+
 class TestTrainLsvm:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 30),
+           st.sampled_from(DEFAULT_LAMBDA_GRID + (0.37,)), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_to_reference(self, data_seed, n, d, lam, epochs):
+        rng = np.random.default_rng(data_seed)
+        # sparse, L2-normalised rows like TF-IDF vectors
+        X = rng.random((n, d)) * (rng.random((n, d)) < 0.4)
+        norms = np.linalg.norm(X, axis=1, keepdims=True)
+        X = np.divide(X, norms, out=X, where=norms > 0)
+        y = rng.integers(0, 2, size=n)
+        y[:2] = [0, 1]
+        model = train_lsvm(X, y, lam, epochs, seed=[data_seed, 3])
+        w, b = reference_lsvm(X, y, lam, epochs, seed=[data_seed, 3])
+        assert model.weights.tobytes() == w.tobytes()
+        assert repr(float(model.bias)) == repr(float(b))
+
     def test_separable_1d_sign(self):
         X = np.array([[-1.0], [1.0]])
         y = np.array([0, 1])

@@ -150,6 +150,16 @@ class TestConfigSections:
         assert code == 2
         assert err.startswith(f"error: {item.partition('=')[0]} must be")
 
+    @pytest.mark.parametrize("item", ["encoder.dropout_rate=1.0",
+                                      "encoder.head_dropout=-0.5"])
+    def test_impossible_dropout_rate_exits_2(self, ws, tmp_path, capsys, item):
+        code = run("adapt", "--vocab", ws["vocab_path"], "--corpus", ws["corpus_b"],
+                   "--seed", 7, "--out", tmp_path, *TINY, "--set", item)
+        err = capsys.readouterr().err
+        assert code == 2
+        key = item.partition("=")[0].removeprefix("encoder.")
+        assert err.startswith(f"error: {key} must be a number in [0, 1)")
+
     @pytest.mark.parametrize("item, key", [
         ("chunk_size.a=1", "'chunk_size.a'"),     # a path through a scalar
         ("chunk_sise=64", "'chunk_sise'"),        # a top-level typo

@@ -24,6 +24,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config(num_layers=0)
 
+    @pytest.mark.parametrize("name", ["dropout_rate", "head_dropout"])
+    @pytest.mark.parametrize("value", [1.0, 1, -0.5, "0.1", True, None, float("nan")])
+    def test_dropout_rate_outside_unit_interval_rejected(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be a number in \[0, 1\)"):
+            tiny_config(**{name: value})
+
+    def test_dropout_rate_bounds(self):
+        tiny_config(dropout_rate=0, head_dropout=0.999)
+
     def test_dict_round_trip(self):
         cfg = tiny_config()
         assert EncoderConfig.from_dict(cfg.to_dict()) == cfg

@@ -3,7 +3,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minidapt.tokenizer import (CONT, SPECIALS, Vocabulary, base_symbols,
+from minidapt.tokenizer import (CONT, SPECIALS, Vocabulary, _merge_pair,
+                                _word_symbols, base_symbols,
                                 decode, encode, normalize_whitespace,
                                 train_vocab)
 
@@ -20,6 +21,74 @@ def brute_force_top_pair(words):
             counts[(a, b)] += 1
     best = max(counts.values())
     return min(p for p, c in counts.items() if c == best)
+
+
+def reference_train_vocab(corpus, target_size):
+    """The textbook merge loop: recount every pair over every word before
+    each merge."""
+    word_freq = Counter()
+    for doc in corpus:
+        for word in normalize_whitespace(doc).split(" "):
+            if word:
+                word_freq[word] += 1
+    symbols = sorted({s for w in word_freq for s in _word_symbols(w)})
+    words = [(_word_symbols(w), f) for w, f in sorted(word_freq.items())]
+    vocab = list(SPECIALS) + symbols
+    seen = set(vocab)
+    while len(vocab) < target_size:
+        pairs = Counter()
+        for syms, f in words:
+            for a, b in zip(syms, syms[1:]):
+                pairs[(a, b)] += f
+        candidates = [(c, p) for p, c in pairs.items() if c >= 2]
+        if not candidates:
+            break
+        best_count = max(c for c, _ in candidates)
+        pair = min(p for c, p in candidates if c == best_count)
+        merged = pair[0] + pair[1].removeprefix(CONT)
+        words = [(_merge_pair(syms, pair, merged), f) for syms, f in words]
+        if merged not in seen:
+            vocab.append(merged)
+            seen.add(merged)
+    return vocab
+
+
+def reference_segment(vocab, word):
+    """Greedy longest-match over vocab.token_to_id, building each candidate
+    piece with its "##" prefix; None if the word cannot be covered."""
+    pieces = []
+    i = 0
+    while i < len(word):
+        prefix = "" if i == 0 else CONT
+        match = None
+        for j in range(len(word), i, -1):
+            cand = prefix + word[i:j]
+            if cand in vocab.token_to_id and cand not in SPECIALS:
+                match = cand
+                i = j
+                break
+        if match is None:
+            return None
+        pieces.append(match)
+    return pieces
+
+
+def reference_encode(vocab, text):
+    """Segment every word occurrence afresh, with no cache."""
+    ids = []
+    word_begin = []
+    for word in normalize_whitespace(text).split(" "):
+        if not word:
+            continue
+        pieces = reference_segment(vocab, word)
+        if pieces is None:
+            ids.append(vocab.unk_id)
+            word_begin.append(True)
+        else:
+            for k, p in enumerate(pieces):
+                ids.append(vocab.token_to_id[p])
+                word_begin.append(k == 0)
+    return ids, word_begin
 
 
 class TestTrainVocab:
@@ -159,3 +228,60 @@ class TestProperties:
         for k, begin in enumerate(enc.word_begin):
             if not begin:
                 assert k > 0
+
+
+# few letters, so words repeat symbols (aaaa: overlapping pairs) and share
+# pairs across words, and "#", so a word can start like a "##" piece;
+# Unicode whitespace (ideographic space, NBSP, tabs, newlines) between them
+SEPARATORS = [" ", "  ", "\t", "\n", "\u3000", "\u00a0", " \r\n "]
+doc = st.lists(st.text(alphabet="aabc#", min_size=1, max_size=9), max_size=12).flatmap(
+    lambda ws: st.lists(st.sampled_from(SEPARATORS), min_size=len(ws) + 1,
+                        max_size=len(ws) + 1).map(
+        lambda seps: seps[0] + "".join(w + s for w, s in zip(ws, seps[1:]))))
+
+
+class TestAgainstReference:
+    @given(st.lists(doc, min_size=1, max_size=6), st.integers(0, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_train_vocab_matches_full_recount(self, corpus, extra):
+        if not any(d.split() for d in corpus):
+            return
+        target = N_SPECIALS + len(base_symbols(corpus)) + extra
+        assert train_vocab(corpus, target).tokens == reference_train_vocab(corpus, target)
+
+    @pytest.mark.parametrize("corpus", [
+        ["aaaa aaaa aaa aa a"],               # overlapping pairs in one word
+        ["aaaaaaa\taaaaa aaaaaa"] * 3,
+        ["abab baba abba", "aabb\u3000bbaa"],
+        # "#" + "###" gives "##", then "##" + "##a" gives "##a" again, a base
+        # symbol; the words still merge, so "##ab" follows
+        ["##ab ##ab ##ab"],
+    ])
+    def test_train_vocab_runs_to_exhaustion(self, corpus):
+        # a target far above the reachable size merges until no pair repeats
+        vocab = train_vocab(corpus, 10_000)
+        assert vocab.tokens == reference_train_vocab(corpus, 10_000)
+
+    @given(st.lists(doc, max_size=4), st.sampled_from([0, 3, 12, 40]))
+    @settings(max_examples=200, deadline=None)
+    def test_encode_matches_uncached_segmentation(self, texts, extra):
+        train = ["aaaa abca cab ##a", "ba ab\taab a#b"]
+        vocab = train_vocab(train, N_SPECIALS + len(base_symbols(train)) + extra)
+        # "z" and "[UNK]" cannot be segmented: one UNK each
+        for text in texts + [" ".join(texts) + " z [UNK] a ##a", "\u3000z\tab\n"]:
+            enc = encode(vocab, text)
+            assert (enc.ids, enc.word_begin) == reference_encode(vocab, text)
+
+    def test_word_cache_is_per_vocabulary(self):
+        short = Vocabulary(tokens=SPECIALS + ["a", "##b"])
+        long = Vocabulary(tokens=SPECIALS + ["##b", "a", "ab"])
+        for _ in range(2):
+            assert encode(short, "ab ab").ids == [5, 6, 5, 6]
+            assert encode(long, "ab ab").ids == [7, 7]
+
+    def test_encoding_leaves_equality_and_repr(self):
+        tokens = SPECIALS + ["a", "##b", "ab"]
+        used, fresh = Vocabulary(tokens=list(tokens)), Vocabulary(tokens=list(tokens))
+        encode(used, "ab a z")
+        assert used == fresh
+        assert repr(used) == repr(fresh)

@@ -87,7 +87,7 @@ def main():
         os.path.join(d["finetune_adapted"], "report.json"),
         os.path.join(d["finetune_vanilla"], "report.json"),
         os.path.join(d["baseline"], "report.json"),
-        *seed, "--out", d["compare"])
+        "--out", d["compare"])
     print(f"\nartifacts under {args.out}")
 
 

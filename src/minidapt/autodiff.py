@@ -167,10 +167,6 @@ class Tensor:
         return self._child(np.maximum(self.data, 0.0), (self,),
                            lambda g: self._accum(g * (self.data > 0)))
 
-    def sigmoid(self):
-        s = stable_sigmoid(self.data)
-        return self._child(s, (self,), lambda g: self._accum(g * s * (1.0 - s)))
-
     # ---- backward pass (the tape replay) ---------------------------------
 
     def backward(self):

@@ -1,8 +1,8 @@
 """Command-line pipeline driver.
 
 Subcommands: fixtures, vocab, adapt, finetune, evaluate, baseline, compare.
-Each run writes a manifest with the fully resolved config, seed, and input
-hashes so a run can be reproduced byte-for-byte.
+Each run writes a manifest with the settings the step read, its seed and its
+input hashes, so a run can be reproduced byte-for-byte.
 """
 
 import argparse
@@ -18,11 +18,11 @@ import numpy as np
 from . import baseline as bl
 from . import fixtures
 from .checkpoint import Checkpoint
-from .corpus import SplitSpec, chunk_stream, load_documents, split
+from .corpus import MLM_RATIOS, SplitSpec, chunk_stream, load_documents, split
 from .masking import MaskingConfig
 from .metrics import EvalReport
 from .model import EncoderConfig, TransformerModel
-from .tokenizer import Vocabulary, encode, train_vocab
+from .tokenizer import DEFAULT_TARGET_SIZE, Vocabulary, encode, train_vocab
 from .trainer import (FinetuneConfig, MLMConfig, TrainConfig, adapt_mlm,
                       evaluate, finetune_staged, write_curves)
 
@@ -37,12 +37,12 @@ def _section_defaults(cls):
 DEFAULTS = {
     "seed": None,
     "chunk_size": TrainConfig.chunk_size,
-    "vocab_target_size": 512,
+    "vocab_target_size": DEFAULT_TARGET_SIZE,
     "encoder": _section_defaults(EncoderConfig),
     "mlm": _section_defaults(MLMConfig),
     "finetune": _section_defaults(FinetuneConfig),
     "masking": _section_defaults(MaskingConfig),
-    "mlm_split": [0.8, 0.1, 0.1],
+    "mlm_split": list(MLM_RATIOS),
     "cls_split": list(SplitSpec.ratios),
     "baseline": {"lambda_grid": list(bl.DEFAULT_LAMBDA_GRID),
                  "epochs": bl.DEFAULT_EPOCHS},
@@ -55,10 +55,24 @@ class CliError(Exception):
         self.code = code
 
 
+def _type_needed(default, value):
+    """None if value has default's JSON type, else that type: an int (not a
+    bool) for an int and for the seed (default None), a number for a float,
+    and a list of those for a list."""
+    if isinstance(default, list):
+        if isinstance(value, list) and not any(_type_needed(default[0], x) for x in value):
+            return None
+        return "a list of " + ("numbers" if isinstance(default[0], float) else "ints")
+    number = isinstance(default, float)
+    if isinstance(value, (int, float) if number else int) and not isinstance(value, bool):
+        return None
+    return "a number" if number else "an int"
+
+
 def _merge(base, override, prefix=""):
     """Merge override into base in place. Every key path must exist in base:
     a key base lacks, or one below a value that is not a section, is an error,
-    as is a value in place of a section."""
+    as is a value in place of a section or of another JSON type."""
     for k, v in override.items():
         key = prefix + k
         if not isinstance(base, dict) or k not in base:
@@ -67,6 +81,8 @@ def _merge(base, override, prefix=""):
             raise CliError(f"config key {key!r} is a section; set its keys instead")
         if isinstance(v, dict):
             _merge(base[k], v, key + ".")
+        elif needed := _type_needed(base[k], v):
+            raise CliError(f"config key {key!r} must be {needed}, got {v!r}")
         else:
             base[k] = v
 
@@ -107,7 +123,6 @@ def _train_config(cfg):
     return TrainConfig(
         mlm=_section(MLMConfig, cfg, "mlm"),
         finetune=_section(FinetuneConfig, cfg, "finetune"),
-        split=SplitSpec(ratios=tuple(cfg["cls_split"]), seed=cfg["seed"]),
         masking=_section(MaskingConfig, cfg, "masking", seed=cfg["seed"]),
         chunk_size=cfg["chunk_size"],
         seed=cfg["seed"],
@@ -132,13 +147,14 @@ def _out_dir(args):
     return args.out
 
 
-def _write_manifest(out, cfg, inputs, extra=None):
-    """inputs maps each role (vocab, corpus, ...) to a path or a list of
-    paths; only their hashes are recorded, so the manifest does not depend on
-    where the files live."""
+def _write_manifest(out, cfg, keys, inputs, extra=None):
+    """Records the top-level config keys the step read, and the inputs: each
+    role (vocab, corpus, ...) maps to a path or a list of paths, and only
+    their hashes are recorded, so the manifest does not depend on where the
+    files live."""
     hashes = {role: [_sha256(p) for p in path] if isinstance(path, list) else _sha256(path)
               for role, path in inputs.items()}
-    manifest = {"config": cfg, "inputs": hashes}
+    manifest = {"config": {k: cfg[k] for k in keys}, "inputs": hashes}
     if extra:
         manifest.update(extra)
     path = os.path.join(out, "manifest.json")
@@ -147,14 +163,10 @@ def _write_manifest(out, cfg, inputs, extra=None):
     return path
 
 
-def _split_indices(n, ratios, seed):
-    return split(list(range(n)), SplitSpec(ratios=tuple(ratios), seed=seed))
-
-
 def _cls_splits(docs, cfg):
     """Train/val/test document splits for classification; shared with the
     baseline via the split seed so comparisons use identical test sets."""
-    idx = _split_indices(len(docs), cfg["cls_split"], cfg["seed"])
+    idx = split(range(len(docs)), SplitSpec(ratios=tuple(cfg["cls_split"]), seed=cfg["seed"]))
     parts = tuple([docs[i] for i in part] for part in idx)
     return parts, idx
 
@@ -189,7 +201,7 @@ def cmd_vocab(args):
              "coverage": 1.0 - unk / max(total, 1)}
     with open(os.path.join(out, "vocab_stats.json"), "w", encoding="utf-8") as f:
         json.dump(stats, f, indent=2, sort_keys=True)
-    _write_manifest(out, cfg, {"corpus": args.corpus},
+    _write_manifest(out, cfg, ["seed", "vocab_target_size"], {"corpus": args.corpus},
                     {"outputs": ["vocab.json", "vocab_stats.json"]})
     print(f"wrote {vocab_path} ({vocab.size} tokens, coverage {stats['coverage']:.4f})")
     return 0
@@ -205,22 +217,23 @@ def cmd_adapt(args):
     vocab = Vocabulary.load(args.vocab)
     docs = load_documents(args.corpus, _load_format(args.corpus))
     tc = _train_config(cfg)
-    idx_parts = _split_indices(len(docs), cfg["mlm_split"], cfg["seed"])
-    chunk_parts = [chunk_stream([docs[i] for i in part], vocab, cfg["chunk_size"])
-                   for part in idx_parts]
+    parts = split(docs, SplitSpec(ratios=tuple(cfg["mlm_split"]), seed=tc.seed))
+    chunk_parts = [chunk_stream(part, vocab, tc.chunk_size) for part in parts]
     inputs = {"vocab": args.vocab, "corpus": args.corpus}
+    keys = ["seed", "chunk_size", "mlm_split", "mlm", "masking"]
     if args.init:
         init = Checkpoint.load(args.init)
         inputs["init"] = args.init
     else:
         init = _fresh_checkpoint(cfg, vocab)
+        keys.append("encoder")
     ckpt, curves = adapt_mlm(init, chunk_parts, tc, vocab)
     ckpt_path = os.path.join(out, "adapted.ckpt")
     ckpt.save(ckpt_path)
     write_curves(curves, os.path.join(out, "curves.csv"))
     report = evaluate(ckpt, chunk_parts[2], "mlm", tc, vocab)
     report.save(os.path.join(out, "report.json"))
-    _write_manifest(out, cfg, inputs,
+    _write_manifest(out, cfg, keys, inputs,
                     {"outputs": ["adapted.ckpt", "curves.csv", "report.json"],
                      "provenance": ckpt.provenance})
     print(f"wrote {ckpt_path}; test perplexity {report.perplexity:.4f}")
@@ -237,8 +250,10 @@ def cmd_finetune(args):
     tc = _train_config(cfg)
     (train_docs, val_docs, test_docs), idx = _cls_splits(docs, cfg)
     inputs = {"vocab": args.vocab, "dataset": args.dataset}
+    keys = ["seed", "cls_split", "finetune"]
     if args.base == "vanilla":
         base = _fresh_checkpoint(cfg, vocab)
+        keys.append("encoder")
     else:
         base = Checkpoint.load(args.base)
         inputs["base"] = args.base
@@ -248,7 +263,7 @@ def cmd_finetune(args):
     write_curves(curves, os.path.join(out, "curves.csv"))
     report = evaluate(ckpt, test_docs, "classify", tc, vocab)
     report.save(os.path.join(out, "report.json"))
-    _write_manifest(out, cfg, inputs,
+    _write_manifest(out, cfg, keys, inputs,
                     {"outputs": ["classifier.ckpt", "curves.csv", "report.json"],
                      "provenance": ckpt.provenance,
                      "test_indices": list(idx[2])})
@@ -264,13 +279,15 @@ def cmd_evaluate(args):
     docs = load_documents(args.data, _load_format(args.data))
     tc = _train_config(cfg)
     if args.task == "mlm":
-        data = chunk_stream(docs, vocab, cfg["chunk_size"])
+        data = chunk_stream(docs, vocab, tc.chunk_size)
+        keys = ["seed", "chunk_size", "mlm", "masking"]
     else:
         data = docs
+        keys = ["seed", "finetune"]
     report = evaluate(ckpt, data, args.task, tc, vocab)
     report_path = os.path.join(out, "report.json")
     report.save(report_path)
-    _write_manifest(out, cfg, {"vocab": args.vocab, "ckpt": args.ckpt, "data": args.data},
+    _write_manifest(out, cfg, keys, {"vocab": args.vocab, "ckpt": args.ckpt, "data": args.data},
                     {"outputs": ["report.json"]})
     print(report.to_json())
     return 0
@@ -278,6 +295,8 @@ def cmd_evaluate(args):
 
 def cmd_baseline(args):
     cfg = resolve_config(args)
+    if cfg["baseline"]["epochs"] < 1:
+        raise CliError("baseline.epochs must be at least 1")
     out = _out_dir(args)
     docs = load_documents(args.dataset, _load_format(args.dataset))
     if any(d.label is None for d in docs):
@@ -298,7 +317,7 @@ def cmd_baseline(args):
     report = classification_report(lsvm.predict(X_te).astype(float), y(test_docs))
     bl.save_baseline(tfidf, lsvm, os.path.join(out, "baseline.json"))
     report.save(os.path.join(out, "report.json"))
-    _write_manifest(out, cfg, {"dataset": args.dataset},
+    _write_manifest(out, cfg, ["seed", "cls_split", "baseline"], {"dataset": args.dataset},
                     {"outputs": ["baseline.json", "report.json"],
                      "chosen_lambda": lam,
                      "test_indices": list(idx[2])})
@@ -353,12 +372,11 @@ def cmd_compare(args):
 # ---- argument parsing ----------------------------------------------------
 
 
-def _common(p, out=True):
+def _common(p):
     p.add_argument("--seed", type=int)
     p.add_argument("--config")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    if out:
-        p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True)
 
 
 def build_parser():
@@ -408,7 +426,7 @@ def build_parser():
 
     p = sub.add_parser("compare", help="render a model/metric comparison table")
     p.add_argument("reports", nargs="+")
-    _common(p)
+    p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_compare)
     return ap
 

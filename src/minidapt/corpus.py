@@ -22,6 +22,9 @@ class Document:
             raise ValueError(f"Document: label must be 0 or 1, got {self.label!r}")
 
 
+MLM_RATIOS = (0.8, 0.1, 0.1)  # train/val/test split of an unlabelled corpus
+
+
 @dataclass
 class SplitSpec:
     ratios: tuple = (0.68, 0.12, 0.20)

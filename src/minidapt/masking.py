@@ -21,6 +21,10 @@ class MaskingConfig:
     def __post_init__(self):
         if not 0.0 <= self.p_mask < 1.0:
             raise ValueError("p_mask must be in [0, 1)")
+        if not 0.0 <= self.p_wwm <= 1.0:
+            raise ValueError("p_wwm must be in [0, 1]")
+        if any(not 0.0 <= r <= 1.0 for r in self.replacement_split):
+            raise ValueError("replacement_split entries must be in [0, 1]")
         if abs(sum(self.replacement_split) - 1.0) > 1e-9:
             raise ValueError("replacement split must sum to 1")
 

@@ -1,8 +1,8 @@
 """Miniature pre-norm transformer encoder with two output heads.
 
 The classifier head is dense(256) -> ReLU -> batch norm -> dense(128) -> ReLU
--> batch norm -> dropout(0.5) -> dense(1) -> sigmoid, pooled from the first
-(CLS-slot) position.
+-> batch norm -> dropout(0.5) -> dense(1), a logit, pooled from the first
+(CLS-slot) position; its sigmoid is the fake-news probability.
 """
 
 from dataclasses import dataclass
@@ -26,7 +26,6 @@ class EncoderConfig:
     dropout_rate: float = 0.1
     head_hidden: tuple = (256, 128)
     head_dropout: float = 0.5
-    tie_mlm: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -43,6 +42,9 @@ class EncoderConfig:
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or not 0 <= value < 1):
                 raise ValueError(f"{name} must be a number in [0, 1), got {value!r}")
+        if len(self.head_hidden) != 2 or any(
+                isinstance(n, bool) or not isinstance(n, int) or n <= 0 for n in self.head_hidden):
+            raise ValueError(f"head_hidden must be two positive ints, got {self.head_hidden!r}")
 
     def to_dict(self):
         d = self.__dict__.copy()
@@ -100,8 +102,7 @@ class TransformerModel:
         self._add("final_ln.gamma", np.ones(d))
         self._add("final_ln.beta", np.zeros(d))
 
-        if not cfg.tie_mlm:
-            self._add("mlm.w", w(d, v))
+        self._add("mlm.w", w(d, v))
         self._add("mlm.b", np.zeros(v))
 
         h1, h2 = cfg.head_hidden
@@ -184,11 +185,7 @@ class TransformerModel:
         return ctx @ P[f"{prefix}.attn.wo"] + P[f"{prefix}.attn.wo_b"]
 
     def mlm_logits(self, hidden):
-        if self.config.tie_mlm:
-            w = self.params["embed.tok"].transpose(1, 0)
-        else:
-            w = self.params["mlm.w"]
-        return hidden @ w + self.params["mlm.b"]
+        return hidden @ self.params["mlm.w"] + self.params["mlm.b"]
 
     def classify_logits(self, hidden, mode="eval", rng=None):
         """Raw pre-sigmoid scores [B] from the CLS-slot representation."""
@@ -206,7 +203,3 @@ class TransformerModel:
         z = z @ P["head.out.w"] + P["head.out.b"]
         B = z.shape[0]
         return z.reshape(B)
-
-    def classify(self, hidden, mode="eval", rng=None):
-        """Fake-news probability in (0,1) per example."""
-        return self.classify_logits(hidden, mode, rng).sigmoid()

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 SPECIALS = [PAD, UNK, CLS, SEP, MASK]
 CONT = "##"
+DEFAULT_TARGET_SIZE = 512  # vocabulary size when a run sets none
 
 
 def normalize_whitespace(text):
@@ -23,8 +24,8 @@ class Vocabulary:
     token_to_id: dict = field(init=False)
     special_ids: frozenset = field(init=False, repr=False)
     # encode's state: the ids a word's first and later pieces may take,
-    # keyed by the piece's text without "##" (structural specials never come
-    # from raw text), and the ids of every word it has segmented
+    # keyed by the piece's text without "##" (a first piece is never a
+    # special or a "##" token), and the ids of every word it has segmented
     _first: dict = field(init=False, repr=False, compare=False)
     _later: dict = field(init=False, repr=False, compare=False)
     _word_ids: dict = field(init=False, repr=False, compare=False)
@@ -37,7 +38,8 @@ class Vocabulary:
             if s not in self.token_to_id:
                 raise ValueError(f"missing special token {s}")
         self.special_ids = frozenset(self.token_to_id[s] for s in SPECIALS)
-        self._first = {t: i for t, i in self.token_to_id.items() if t not in SPECIALS}
+        self._first = {t: i for t, i in self.token_to_id.items()
+                       if t not in SPECIALS and not t.startswith(CONT)}
         self._later = {t[len(CONT):]: i for t, i in self.token_to_id.items()
                        if t.startswith(CONT)}
         self._word_ids = {}

@@ -90,4 +90,7 @@ BAD_MANIFEST_VALUES = {
     "head-int": (_config(head_hidden=5), "config: "),
     "dropout-str": (_config(dropout_rate="0.1"),
                     "config: dropout_rate must be a number in [0, 1), got '0.1'"),
+    "head-short": (_config(head_hidden=[8]), "config: head_hidden must be two positive ints"),
+    # a header written before the tied MLM head was removed
+    "tie-mlm": (_config(tie_mlm=False), "config keys ['tie_mlm'] missing or unknown"),
 }

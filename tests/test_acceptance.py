@@ -308,7 +308,7 @@ def test_09_pipeline_and_comparison(pipeline_runs, capsys):
     cmp_out = os.path.join(root, "cmp")
     code = cli_main(["compare", os.path.join(d["ft_adapted"], "report.json"),
                      os.path.join(d["ft_vanilla"], "report.json"),
-                     "--seed", "11", "--out", cmp_out])
+                     "--out", cmp_out])
     table = capsys.readouterr().out
     ok = (code == 0 and "F1-score" in table
           and os.path.exists(os.path.join(cmp_out, "comparison.csv")))

@@ -238,11 +238,6 @@ class TestPrimitiveGradients:
         c = Tensor(self.rng.normal(size=(4, 4)))
         assert grad_check(lambda: (x.relu() * c).sum(), [x]) < FD_TOL
 
-    def test_sigmoid(self):
-        x = Parameter("x", self.rng.normal(size=(7,)))
-        c = Tensor(self.rng.normal(size=(7,)))
-        assert grad_check(lambda: (x.sigmoid() * c).sum(), [x]) < FD_TOL
-
     def test_embedding(self):
         table = Parameter("t", self.rng.normal(size=(9, 4)))
         ids = np.array([[0, 3, 3], [8, 1, 0]])

@@ -78,6 +78,14 @@ def csv_rows(path):
         return f.read().strip().split("\n")
 
 
+def assert_same_files(a, b):
+    """Every file under a and b, manifests included, is byte-identical."""
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b))
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 class TestFixturesCommand:
     def test_writes_all_corpora(self, ws):
         for name in ("corpus_a", "corpus_b", "dataset", "separable"):
@@ -186,6 +194,31 @@ class TestConfigSections:
         assert code == 2
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize("command, item, key", [
+        ("vocab", 'vocab_target_size="512"', "'vocab_target_size'"),
+        ("adapt", 'mlm.weight_decay="x"', "'mlm.weight_decay'"),
+        ("adapt", 'mlm.warmup_steps="x"', "'mlm.warmup_steps'"),
+        ("adapt", 'masking.p_mask="x"', "'masking.p_mask'"),
+        ("adapt", 'masking.p_wwm="x"', "'masking.p_wwm'"),
+        ("adapt", 'chunk_size="x"', "'chunk_size'"),
+        ("adapt", 'mlm_split=["a",1,0]', "'mlm_split'"),
+        ("adapt", "masking.p_wwm=5", "p_wwm"),
+        ("adapt", "masking.replacement_split=[1.5,-0.25,-0.25]", "replacement_split"),
+        ("adapt", "encoder.head_hidden=[8]", "head_hidden"),
+        ("baseline", 'baseline.epochs="x"', "'baseline.epochs'"),
+        ("baseline", 'baseline.lambda_grid=["a"]', "'baseline.lambda_grid'"),
+        ("baseline", 'cls_split=["a",1,0]', "'cls_split'"),
+        ("baseline", "baseline.epochs=-1", "baseline.epochs"),
+    ])
+    def test_malformed_setting_exits_2(self, ws, tmp_path, capsys, command, item, key):
+        argv = {"vocab": ["--corpus", ws["corpus_b"]],
+                "adapt": ["--vocab", ws["vocab_path"], "--corpus", ws["corpus_b"], *TINY],
+                "baseline": ["--dataset", ws["dataset"]]}[command]
+        code = run(command, *argv, "--seed", 7, "--out", tmp_path, "--set", item)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and key in err
+
 
 class TestSeedHandling:
     def test_missing_seed_exits_2(self, ws, tmp_path, capsys):
@@ -288,16 +321,70 @@ class TestFinetuneCommand:
         assert err.startswith("error:") and "missing entry param/embed.pos" in err
 
 
+@pytest.fixture(scope="class")
+def quick_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("quick")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    subprocess.run([sys.executable, os.path.join(root, "scripts", "run_pipeline.py"),
+                    "--quick", "--seed", "0", "--out", str(out)],
+                   env=env, check=True, capture_output=True)
+    return out
+
+
 class TestPipelineScript:
-    def test_quick_vocab_manifest_records_size_used(self, tmp_path):
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-        subprocess.run([sys.executable, os.path.join(root, "scripts", "run_pipeline.py"),
-                        "--quick", "--seed", "0", "--out", str(tmp_path)],
-                       env=env, check=True, capture_output=True)
-        with open(tmp_path / "vocab" / "vocab_stats.json") as f:
+    def test_quick_vocab_manifest_records_size_used(self, quick_run):
+        with open(quick_run / "vocab" / "vocab_stats.json") as f:
             assert json.load(f)["vocab_size"] == 200
-        assert read_manifest(tmp_path / "vocab")["config"]["vocab_target_size"] == 200
+        assert read_manifest(quick_run / "vocab")["config"]["vocab_target_size"] == 200
+
+    def test_quick_manifests_record_what_each_step_read(self, quick_run):
+        read = {
+            "vocab": {"seed", "vocab_target_size"},
+            "adapt": {"seed", "chunk_size", "mlm_split", "mlm", "masking", "encoder"},
+            "finetune_adapted": {"seed", "cls_split", "finetune"},
+            "finetune_vanilla": {"seed", "cls_split", "finetune", "encoder"},
+            "baseline": {"seed", "cls_split", "baseline"},
+        }
+        for step, keys in read.items():
+            assert set(read_manifest(quick_run / step)["config"]) == keys, step
+
+
+class TestManifestKeys:
+    """A manifest records the config keys its step read; a loaded checkpoint
+    is the only source of its encoder config."""
+
+    def test_adapt_from_checkpoint(self, ws, tmp_path):
+        assert run("adapt", "--vocab", ws["vocab_path"], "--corpus", ws["corpus_b"],
+                   "--init", ws["adapted"], "--seed", 7, "--out", tmp_path, *TINY) == 0
+        assert set(read_manifest(tmp_path)["config"]) == {
+            "seed", "chunk_size", "mlm_split", "mlm", "masking"}
+
+    @pytest.mark.parametrize("task, keys", [
+        ("mlm", {"seed", "chunk_size", "mlm", "masking"}),
+        ("classify", {"seed", "finetune"}),
+    ])
+    def test_evaluate(self, ws, tmp_path, task, keys):
+        ckpt, data = {"mlm": (ws["adapted"], ws["corpus_b"]),
+                      "classify": (os.path.join(ws["ft_vanilla"], "classifier.ckpt"),
+                                   ws["dataset"])}[task]
+        assert run("evaluate", "--vocab", ws["vocab_path"], "--ckpt", ckpt, "--data", data,
+                   "--task", task, "--seed", 7, "--out", tmp_path, *TINY) == 0
+        assert set(read_manifest(tmp_path)["config"]) == keys
+
+    def test_baseline_outputs_ignore_other_sections(self, ws, tmp_path):
+        for out, extra in [("plain", []),
+                           ("set", ["--set", "mlm.epochs=5", "--set", "encoder.d_model=32"])]:
+            assert run("baseline", "--dataset", ws["dataset"], "--seed", 7,
+                       "--out", tmp_path / out, *TINY, *extra) == 0
+        assert_same_files(tmp_path / "plain", tmp_path / "set")
+
+    def test_finetune_from_checkpoint_ignores_encoder_section(self, ws, tmp_path):
+        for out, extra in [("plain", []), ("set", ["--set", "encoder.dropout_rate=0.3"])]:
+            assert run("finetune", "--vocab", ws["vocab_path"], "--dataset", ws["dataset"],
+                       "--base", ws["adapted"], "--seed", 7, "--out", tmp_path / out,
+                       *TINY, *extra) == 0
+        assert_same_files(tmp_path / "plain", tmp_path / "set")
 
 
 class TestBaselineCommand:
@@ -372,7 +459,7 @@ class TestCompareCommand:
                    os.path.join(ws["ft_vanilla"], "report.json"),
                    os.path.join(ws["ft_adapted"], "report.json"),
                    os.path.join(ws["base"], "report.json"),
-                   "--seed", 7, "--out", ws["cmp"])
+                   "--out", ws["cmp"])
         assert code == 0
         out = capsys.readouterr().out
         assert "F1-score" in out and "**" in out
@@ -380,14 +467,24 @@ class TestCompareCommand:
         assert rows[0] == "Model,Precision,Recall,F1-score,Accuracy"
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("flag", [["--seed", "7"], ["--set", "encoder.d_model=5"],
+                                      ["--config", "cfg.json"]])
+    def test_config_flags_are_gone(self, ws, tmp_path, capsys, flag):
+        # compare reads no setting, so it takes none
+        with pytest.raises(SystemExit) as e:
+            run("compare", os.path.join(ws["ft_vanilla"], "report.json"),
+                os.path.join(ws["base"], "report.json"), *flag, "--out", tmp_path)
+        assert e.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
     def test_single_report_exits_2(self, ws, tmp_path):
         code = run("compare", os.path.join(ws["base"], "report.json"),
-                   "--seed", 7, "--out", tmp_path)
+                   "--out", tmp_path)
         assert code == 2
 
     def test_mlm_report_rejected(self, ws, tmp_path):
         code = run("compare",
                    os.path.join(ws["adapt"], "report.json"),
                    os.path.join(ws["base"], "report.json"),
-                   "--seed", 7, "--out", tmp_path)
+                   "--out", tmp_path)
         assert code == 1

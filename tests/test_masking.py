@@ -164,3 +164,13 @@ class TestMaskingConfig:
             MaskingConfig(p_mask=1.5)
         with pytest.raises(ValueError):
             MaskingConfig(replacement_split=(0.5, 0.1, 0.1))
+
+    @pytest.mark.parametrize("kw", [dict(p_wwm=1.5), dict(p_wwm=-0.1),
+                                    dict(replacement_split=(1.5, -0.25, -0.25))])
+    def test_out_of_range_rejected(self, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            MaskingConfig(**kw)
+
+    def test_range_bounds(self):
+        MaskingConfig(p_wwm=0.0)
+        MaskingConfig(p_wwm=1.0, replacement_split=(1.0, 0.0, 0.0))

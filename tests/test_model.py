@@ -33,6 +33,11 @@ class TestConfig:
     def test_dropout_rate_bounds(self):
         tiny_config(dropout_rate=0, head_dropout=0.999)
 
+    @pytest.mark.parametrize("value", [(8,), (8, 4, 2), (0, 4), (8, -1), (8, True), ("8", 4)])
+    def test_head_hidden_needs_two_positive_ints(self, value):
+        with pytest.raises(ValueError, match=r"^head_hidden must be two positive ints"):
+            tiny_config(head_hidden=value)
+
     def test_dict_round_trip(self):
         cfg = tiny_config()
         assert EncoderConfig.from_dict(cfg.to_dict()) == cfg
@@ -137,13 +142,6 @@ class TestMlmHead:
         out = m.mlm_logits(Tensor(np.zeros((2, 3, 8))))
         assert out.shape == (2, 3, 20)
 
-    def test_tied_head_uses_embeddings(self):
-        m = TransformerModel(tiny_config(tie_mlm=True))
-        assert "mlm.w" not in m.params
-        hidden = Tensor(np.random.default_rng(0).normal(size=(1, 2, 8)))
-        expected = hidden.data @ m.params["embed.tok"].data.T + m.params["mlm.b"].data
-        assert_allclose(m.mlm_logits(hidden).data, expected)
-
 
 class TestClassifierHead:
     def test_zero_weights_give_half(self):
@@ -152,21 +150,21 @@ class TestClassifierHead:
             if not name.endswith("gamma"):
                 m.params[name].data[:] = 0.0
         hidden = Tensor(np.zeros((2, 3, 8)))
-        out = m.classify(hidden, mode="eval")
-        assert_allclose(out.data, [0.5, 0.5])
+        out = stable_sigmoid(m.classify_logits(hidden, mode="eval").data)
+        assert_allclose(out, [0.5, 0.5])
 
     def test_output_in_open_interval(self):
         m = TransformerModel(tiny_config())
         rng = np.random.default_rng(3)
         hidden = Tensor(rng.normal(size=(1000, 2, 8)))
-        out = m.classify(hidden, mode="eval").data
+        out = stable_sigmoid(m.classify_logits(hidden, mode="eval").data)
         assert np.all((out > 0.0) & (out < 1.0))
 
     def test_train_batch_of_one_errors(self):
         m = TransformerModel(tiny_config())
         with pytest.raises(ValueError):
-            m.classify(Tensor(np.zeros((1, 2, 8))), mode="train",
-                       rng=np.random.default_rng(0))
+            m.classify_logits(Tensor(np.zeros((1, 2, 8))), mode="train",
+                              rng=np.random.default_rng(0))
 
     def test_hand_oracle_eval(self):
         # straight-line evaluation of the head formula, recorded independently
@@ -191,15 +189,15 @@ class TestClassifierHead:
         logits = (bn2 @ p["head.out.w"].data + p["head.out.b"].data)[:, 0]
         expected = stable_sigmoid(logits)
 
-        out = m.classify(Tensor(hidden), mode="eval")
-        assert_allclose(out.data, expected, rtol=1e-12)
+        out = stable_sigmoid(m.classify_logits(Tensor(hidden), mode="eval").data)
+        assert_allclose(out, expected, rtol=1e-12)
 
     def test_pooling_reads_position_zero_only(self):
         m = TransformerModel(tiny_config())
         rng = np.random.default_rng(4)
         hidden = rng.normal(size=(2, 5, 8))
-        out1 = m.classify(Tensor(hidden), mode="eval").data
+        out1 = stable_sigmoid(m.classify_logits(Tensor(hidden), mode="eval").data)
         shuffled = hidden.copy()
         shuffled[:, 1:, :] = shuffled[:, [3, 4, 1, 2], :]
-        out2 = m.classify(Tensor(shuffled), mode="eval").data
+        out2 = stable_sigmoid(m.classify_logits(Tensor(shuffled), mode="eval").data)
         assert np.array_equal(out1, out2)

@@ -55,7 +55,9 @@ def reference_train_vocab(corpus, target_size):
 
 def reference_segment(vocab, word):
     """Greedy longest-match over vocab.token_to_id, building each candidate
-    piece with its "##" prefix; None if the word cannot be covered."""
+    piece with its "##" prefix; a first piece never starts with "##", so
+    decode can tell it from a continuation. None if the word cannot be
+    covered."""
     pieces = []
     i = 0
     while i < len(word):
@@ -63,7 +65,8 @@ def reference_segment(vocab, word):
         match = None
         for j in range(len(word), i, -1):
             cand = prefix + word[i:j]
-            if cand in vocab.token_to_id and cand not in SPECIALS:
+            if (cand in vocab.token_to_id and cand not in SPECIALS
+                    and not (i == 0 and cand.startswith(CONT))):
                 match = cand
                 i = j
                 break
@@ -285,3 +288,28 @@ class TestAgainstReference:
         encode(used, "ab a z")
         assert used == fresh
         assert repr(used) == repr(fresh)
+
+
+class TestRoundTripWithHashes:
+    """A word may start like a "##" piece; it still decodes to itself."""
+
+    @given(st.lists(doc, min_size=1, max_size=4), doc, st.integers(0, 60))
+    @settings(max_examples=300, deadline=None)
+    def test_decode_inverts_encode(self, corpus, text, extra):
+        if not any(d.split() for d in corpus):
+            return
+        vocab = train_vocab(corpus, N_SPECIALS + len(base_symbols(corpus)) + extra)
+        ids = encode(vocab, text).ids
+        if vocab.unk_id not in ids:
+            assert decode(vocab, ids) == normalize_whitespace(text)
+
+    def test_word_starting_with_continuation_marker(self):
+        vocab = train_vocab(["##a ##a ##ab x#a"], 100)
+        assert "##a" in vocab.tokens
+        assert decode(vocab, encode(vocab, "##a").ids) == "##a"
+        assert decode(vocab, encode(vocab, "x ##ab").ids) == "x ##ab"
+        # "y" is not in the vocabulary: its UNK is dropped, the words before
+        # it stay apart
+        ids = encode(vocab, "x ##ab y").ids
+        assert ids[-1] == vocab.unk_id
+        assert decode(vocab, ids) == "x ##ab"

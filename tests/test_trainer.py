@@ -94,8 +94,7 @@ class TestAdaptMlm:
     def test_uniform_logits_loss_is_log_vocab(self, small_vocab, small_chunks,
                                               tiny_checkpoint):
         model = tiny_checkpoint.model
-        if not model.config.tie_mlm:
-            model.params["mlm.w"].data[:] = 0.0
+        model.params["mlm.w"].data[:] = 0.0
         model.params["mlm.b"].data[:] = 0.0
         cfg = tiny_train_config()
         nats = mlm_validation_loss(tiny_checkpoint, small_chunks[:4], cfg, small_vocab)

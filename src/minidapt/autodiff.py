@@ -4,6 +4,8 @@ Everything downstream (encoder, heads, losses) is built from the ops here.
 All arrays are 64-bit so finite-difference checks are meaningful.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 
 
@@ -21,6 +23,14 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def _check_inner(op, x, w):
+    if x.data.ndim < 1 or w.data.ndim < 2 or x.data.shape[-1] != w.data.shape[-2]:
+        raise ShapeError(
+            f"{op}: inner dimensions disagree for shapes "
+            f"{tuple(x.data.shape)} and {tuple(w.data.shape)}"
+        )
+
+
 def _tape(root):
     """Depth-first post-order over `_prev`, in tuple order, without recursion."""
     tape, seen = [], {id(root)}
@@ -36,6 +46,21 @@ def _tape(root):
             stack.pop()
             tape.append(node)
     return tape
+
+
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Within the block, op results link no inputs, so nothing is kept for a
+    backward pass: for forwards whose loss is only read."""
+    global _recording
+    before, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = before
 
 
 class Tensor:
@@ -71,6 +96,8 @@ class Tensor:
     # ---- graph construction helpers -------------------------------------
 
     def _child(self, data, prevs, backward):
+        if not _recording:
+            return Tensor(data)
         out = Tensor(data, requires_grad=any(p.requires_grad for p in prevs))
         out._prev = tuple(prevs)
         out._backward = backward
@@ -118,11 +145,7 @@ class Tensor:
     def matmul(self, other):
         if not isinstance(other, Tensor):
             other = Tensor(other)
-        if self.data.ndim < 1 or other.data.ndim < 2 or self.data.shape[-1] != other.data.shape[-2]:
-            raise ShapeError(
-                f"matmul: inner dimensions disagree for shapes "
-                f"{tuple(self.data.shape)} and {tuple(other.data.shape)}"
-            )
+        _check_inner("matmul", self, other)
 
         def _backward(g):
             if self.requires_grad:
@@ -209,15 +232,56 @@ def stable_sigmoid(x):
     return out
 
 
-def softmax_rows(x):
-    """Softmax along the last axis with max-subtraction."""
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-    return x._child(s, (x,),
-                    lambda g: x._accum(s * (g - (g * s).sum(axis=-1, keepdims=True))))
+def linear(x, w, b):
+    """x @ w + b as one node: the bias is added in place into the product.
+    The backward runs the expressions of `matmul` followed by `+`, so values
+    and gradients equal that composition's bit for bit."""
+    _check_inner("linear", x, w)
+    out = x.data @ w.data
+    out += b.data
+
+    def _backward(g):
+        b._accum(g)
+        if x.requires_grad:
+            x._accum(g @ np.swapaxes(w.data, -1, -2))
+        if w.requires_grad:
+            w._accum(np.swapaxes(x.data, -1, -2) @ g)
+
+    return x._child(out, (x, w, b), _backward)
+
+
+def attention(q, k, v, scale, bias=None):
+    """softmax(q @ kᵀ * scale + bias) @ v as one node, over [..., T, hd]
+    heads; `bias` is a constant array that broadcasts to the scores.
+
+    The scores are scaled, biased, shifted by their row maximum, exponentiated
+    and normalized inside the one `q @ kᵀ` buffer, and only those weights are
+    kept for the backward pass. The backward does the arithmetic of `matmul`,
+    `*`, `+` and a row softmax's backward in their order, with the score
+    gradient worked out in place in one buffer, so values and gradients equal
+    that composition's bit for bit.
+    """
+    w = q.data @ np.swapaxes(k.data, -1, -2)
+    w *= scale
+    if bias is not None:
+        w += bias
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+
+    def _backward(g):
+        if v.requires_grad:
+            v._accum(np.swapaxes(w, -1, -2) @ g)
+        gs = g @ np.swapaxes(v.data, -1, -2)
+        gs -= (gs * w).sum(axis=-1, keepdims=True)
+        gs *= w
+        gs *= scale
+        if q.requires_grad:
+            q._accum(gs @ k.data)
+        if k.requires_grad:
+            k._accum(np.swapaxes(np.swapaxes(q.data, -1, -2) @ gs, -1, -2))
+
+    return q._child(w @ v.data, (q, k, v), _backward)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):

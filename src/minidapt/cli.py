@@ -119,14 +119,18 @@ def _section(cls, cfg, name, **fixed):
     return cls(**values, **fixed)
 
 
-def _train_config(cfg):
-    return TrainConfig(
-        mlm=_section(MLMConfig, cfg, "mlm"),
-        finetune=_section(FinetuneConfig, cfg, "finetune"),
-        masking=_section(MaskingConfig, cfg, "masking", seed=cfg["seed"]),
-        chunk_size=cfg["chunk_size"],
-        seed=cfg["seed"],
-    )
+def _train_config(cfg, keys):
+    """TrainConfig from the config keys the step reads, its manifest keys; a
+    section it does not read keeps its default, so a bad value there is
+    neither checked nor used."""
+    built = {name: _section(cls, cfg, name, **fixed)
+             for name, cls, fixed in [("mlm", MLMConfig, {}),
+                                      ("finetune", FinetuneConfig, {}),
+                                      ("masking", MaskingConfig, {"seed": cfg["seed"]})]
+             if name in keys}
+    if "chunk_size" in keys:
+        built["chunk_size"] = cfg["chunk_size"]
+    return TrainConfig(seed=cfg["seed"], **built)
 
 
 def _encoder_config(cfg, vocab_size):
@@ -216,11 +220,11 @@ def cmd_adapt(args):
     out = _out_dir(args)
     vocab = Vocabulary.load(args.vocab)
     docs = load_documents(args.corpus, _load_format(args.corpus))
-    tc = _train_config(cfg)
+    keys = ["seed", "chunk_size", "mlm_split", "mlm", "masking"]
+    tc = _train_config(cfg, keys)
     parts = split(docs, SplitSpec(ratios=tuple(cfg["mlm_split"]), seed=tc.seed))
     chunk_parts = [chunk_stream(part, vocab, tc.chunk_size) for part in parts]
     inputs = {"vocab": args.vocab, "corpus": args.corpus}
-    keys = ["seed", "chunk_size", "mlm_split", "mlm", "masking"]
     if args.init:
         init = Checkpoint.load(args.init)
         inputs["init"] = args.init
@@ -247,10 +251,10 @@ def cmd_finetune(args):
     docs = load_documents(args.dataset, _load_format(args.dataset))
     if any(d.label is None for d in docs):
         raise CliError(f"{args.dataset}: missing label on one or more records")
-    tc = _train_config(cfg)
+    keys = ["seed", "cls_split", "finetune"]
+    tc = _train_config(cfg, keys)
     (train_docs, val_docs, test_docs), idx = _cls_splits(docs, cfg)
     inputs = {"vocab": args.vocab, "dataset": args.dataset}
-    keys = ["seed", "cls_split", "finetune"]
     if args.base == "vanilla":
         base = _fresh_checkpoint(cfg, vocab)
         keys.append("encoder")
@@ -277,13 +281,10 @@ def cmd_evaluate(args):
     vocab = Vocabulary.load(args.vocab)
     ckpt = Checkpoint.load(args.ckpt)
     docs = load_documents(args.data, _load_format(args.data))
-    tc = _train_config(cfg)
-    if args.task == "mlm":
-        data = chunk_stream(docs, vocab, tc.chunk_size)
-        keys = ["seed", "chunk_size", "mlm", "masking"]
-    else:
-        data = docs
-        keys = ["seed", "finetune"]
+    mlm = args.task == "mlm"
+    keys = ["seed", "chunk_size", "mlm", "masking"] if mlm else ["seed", "finetune"]
+    tc = _train_config(cfg, keys)
+    data = chunk_stream(docs, vocab, tc.chunk_size) if mlm else docs
     report = evaluate(ckpt, data, args.task, tc, vocab)
     report_path = os.path.join(out, "report.json")
     report.save(report_path)

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (BatchNormState, Parameter, batch_norm, dropout, embedding,
-                       layer_norm, softmax_rows)
+from .autodiff import (BatchNormState, Parameter, attention, batch_norm, dropout,
+                       embedding, layer_norm, linear)
 
 ATTN_MASK_BIAS = -1e9  # additive bias for PAD keys; finite stand-in for -inf
 
@@ -158,8 +158,8 @@ class TransformerModel:
             attn = dropout(attn, cfg.dropout_rate, rng, mode)
             x = x + attn
             h = layer_norm(x, P[f"{p}.ln2.gamma"], P[f"{p}.ln2.beta"])
-            ff = (h @ P[f"{p}.ffn.w1"] + P[f"{p}.ffn.b1"]).relu()
-            ff = ff @ P[f"{p}.ffn.w2"] + P[f"{p}.ffn.b2"]
+            ff = linear(h, P[f"{p}.ffn.w1"], P[f"{p}.ffn.b1"]).relu()
+            ff = linear(ff, P[f"{p}.ffn.w2"], P[f"{p}.ffn.b2"])
             ff = dropout(ff, cfg.dropout_rate, rng, mode)
             x = x + ff
         return layer_norm(x, P["final_ln.gamma"], P["final_ln.beta"])
@@ -171,21 +171,16 @@ class TransformerModel:
         nh = cfg.num_heads
         hd = d // nh
 
-        def heads(t):
+        def heads(proj):
+            t = linear(h, P[f"{prefix}.attn.{proj}"], P[f"{prefix}.attn.{proj}_b"])
             return t.reshape(B, T, nh, hd).transpose(0, 2, 1, 3)
 
-        q = heads(h @ P[f"{prefix}.attn.wq"] + P[f"{prefix}.attn.wq_b"])
-        k = heads(h @ P[f"{prefix}.attn.wk"] + P[f"{prefix}.attn.wk_b"])
-        v = heads(h @ P[f"{prefix}.attn.wv"] + P[f"{prefix}.attn.wv_b"])
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(hd))
-        if bias is not None:
-            scores = scores + bias
-        weights = softmax_rows(scores)
-        ctx = (weights @ v).transpose(0, 2, 1, 3).reshape(B, T, d)
-        return ctx @ P[f"{prefix}.attn.wo"] + P[f"{prefix}.attn.wo_b"]
+        ctx = attention(heads("wq"), heads("wk"), heads("wv"), 1.0 / np.sqrt(hd), bias)
+        ctx = ctx.transpose(0, 2, 1, 3).reshape(B, T, d)
+        return linear(ctx, P[f"{prefix}.attn.wo"], P[f"{prefix}.attn.wo_b"])
 
     def mlm_logits(self, hidden):
-        return hidden @ self.params["mlm.w"] + self.params["mlm.b"]
+        return linear(hidden, self.params["mlm.w"], self.params["mlm.b"])
 
     def classify_logits(self, hidden, mode="eval", rng=None):
         """Raw pre-sigmoid scores [B] from the CLS-slot representation."""
@@ -193,13 +188,13 @@ class TransformerModel:
             raise ValueError("classify: train mode needs batch size >= 2")
         P = self.params
         pooled = hidden[:, 0, :]
-        z = (pooled @ P["head.dense1.w"] + P["head.dense1.b"]).relu()
+        z = linear(pooled, P["head.dense1.w"], P["head.dense1.b"]).relu()
         z = batch_norm(z, P["head.bn1.gamma"], P["head.bn1.beta"],
                        self.bn_states["head.bn1"], mode)
-        z = (z @ P["head.dense2.w"] + P["head.dense2.b"]).relu()
+        z = linear(z, P["head.dense2.w"], P["head.dense2.b"]).relu()
         z = batch_norm(z, P["head.bn2.gamma"], P["head.bn2.beta"],
                        self.bn_states["head.bn2"], mode)
         z = dropout(z, self.config.head_dropout, rng, mode)
-        z = z @ P["head.out.w"] + P["head.out.b"]
+        z = linear(z, P["head.out.w"], P["head.out.b"])
         B = z.shape[0]
         return z.reshape(B)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (IGNORE_LABEL, bce_with_logits, masked_cross_entropy,
-                       stable_sigmoid)
+                       no_grad, stable_sigmoid)
 from .corpus import SplitSpec
 from .masking import MaskingConfig, collate
 from .metrics import classification_report, mlm_report
@@ -115,11 +115,12 @@ def mlm_validation_loss(ckpt, chunks, cfg, vocab):
     model = ckpt.model
     total, count = 0.0, 0
     rng = np.random.default_rng([cfg.seed, _VAL_MASK])
-    for idx in _batches(len(chunks), cfg.mlm.batch_size):
-        batch = collate([chunks[i] for i in idx], cfg.masking, vocab, rng)
-        loss, n = _mlm_batch_loss(model, batch, mode="eval")
-        total += float(loss.data) * n
-        count += n
+    with no_grad():
+        for idx in _batches(len(chunks), cfg.mlm.batch_size):
+            batch = collate([chunks[i] for i in idx], cfg.masking, vocab, rng)
+            loss, n = _mlm_batch_loss(model, batch, mode="eval")
+            total += float(loss.data) * n
+            count += n
     if count == 0:
         raise ValueError("mlm validation: no labeled positions")
     return total / count
@@ -201,12 +202,13 @@ def _classifier_eval(ckpt, ids, mask, labels, batch_size):
     model = ckpt.model
     probs = np.empty(len(ids))
     total = 0.0
-    for idx in _batches(len(ids), batch_size):
-        b_ids, b_mask = _trim(ids[idx], mask[idx])
-        hidden = model.encode_forward(b_ids, pad_mask=b_mask, mode="eval")
-        logits = model.classify_logits(hidden, mode="eval")
-        total += float(bce_with_logits(logits, labels[idx]).data) * len(idx)
-        probs[idx] = stable_sigmoid(logits.data)
+    with no_grad():
+        for idx in _batches(len(ids), batch_size):
+            b_ids, b_mask = _trim(ids[idx], mask[idx])
+            hidden = model.encode_forward(b_ids, pad_mask=b_mask, mode="eval")
+            logits = model.classify_logits(hidden, mode="eval")
+            total += float(bce_with_logits(logits, labels[idx]).data) * len(idx)
+            probs[idx] = stable_sigmoid(logits.data)
     preds = (probs >= 0.5).astype(int)
     acc = float((preds == labels.astype(int)).mean())
     return total / len(ids), acc, probs

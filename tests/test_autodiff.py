@@ -7,11 +7,28 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from minidapt.autodiff import (BatchNormState, Parameter, ShapeError, Tensor,
-                               batch_norm, bce_with_logits, dropout, embedding,
-                               grad_check, layer_norm, masked_cross_entropy,
-                               softmax_rows, stable_sigmoid)
+                               attention, batch_norm, bce_with_logits, dropout,
+                               embedding, grad_check, layer_norm, linear,
+                               masked_cross_entropy, no_grad, stable_sigmoid)
+from minidapt.model import ATTN_MASK_BIAS
 
 from conftest import tiny_model
+
+
+def softmax_rows(x):
+    """Softmax over the last axis, read through `attention`: with k and v the
+    identity, the scores are x and the output is the weights."""
+    eye = Tensor(np.eye(x.shape[-1]))
+    return attention(x, eye, eye, 1.0)
+
+
+def reference_softmax(x):
+    """The unfused softmax node the fused op must match: NumPy forward with
+    max-subtraction, and the Jacobian-vector product as its backward."""
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+    return x._child(s, (x,),
+                    lambda g: x._accum(s * (g - (g * s).sum(axis=-1, keepdims=True))))
 
 
 class TestMatmul:
@@ -35,6 +52,8 @@ class TestMatmul:
 
 
 class TestSoftmaxRows:
+    """The softmax over rows inside `attention`."""
+
     def test_uniform(self):
         assert_allclose(softmax_rows(Tensor([[0.0, 0.0, 0.0]])).data, [[1 / 3] * 3])
 
@@ -180,6 +199,95 @@ class TestGradCheck:
             grad_check(lambda: Tensor(np.nan) * w.sum(), [w])
 
 
+class TestLinear:
+    def test_shape_error_names_both_shapes(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
+            linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))), Tensor(np.ones(2)))
+
+
+class TestNoGrad:
+    def test_forward_links_nothing_and_leaves_grads(self, small_vocab):
+        model = tiny_model(small_vocab)
+        rng = np.random.default_rng(0)
+        for p in model.params.values():
+            p.grad = rng.normal(size=p.data.shape)
+        before = {n: p.grad.copy() for n, p in model.params.items()}
+        ids = rng.integers(5, small_vocab.size, size=(2, 6))
+        with no_grad():
+            hidden = model.encode_forward(ids, mode="eval")
+            loss = masked_cross_entropy(model.mlm_logits(hidden), ids)
+        for t in (hidden, loss):
+            assert t._prev == () and t._backward is None and not t.requires_grad
+        loss.backward()
+        for n, p in model.params.items():
+            assert np.array_equal(p.grad, before[n]), n
+        # the same forward outside the block records its graph
+        assert model.encode_forward(ids, mode="eval")._prev
+
+    def test_recording_resumes_after_an_exception(self):
+        w = Parameter("w", np.ones((2, 2)))
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                with no_grad():
+                    pass
+                assert (w * 2.0)._prev == ()
+                raise RuntimeError("inside the block")
+        out = w * 2.0
+        assert out._prev and out.requires_grad
+
+
+class TestFusedMatchesUnfused:
+    """`linear` and `attention` give bit-for-bit the values and gradients of
+    the ops they replace, so fusing them moves no artifact."""
+
+    rng = np.random.default_rng(7)
+
+    def _grads(self, loss, params):
+        for p in params:
+            p.zero_grad()
+        loss.backward()
+        return [p.grad.copy() for p in params]
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_linear(self, ndim):
+        x = Parameter("x", self.rng.normal(size=(2, 3, 4)[3 - ndim:]))
+        w = Parameter("w", self.rng.normal(size=(4, 5)))
+        b = Parameter("b", self.rng.normal(size=(5,)))
+        c = self.rng.normal(size=x.shape[:-1] + (5,))
+        fused = linear(x, w, b)
+        unfused = x @ w + b
+        assert np.array_equal(fused.data, unfused.data)
+        assert all(np.array_equal(f, u) for f, u in zip(
+            self._grads((fused * c).sum(), [x, w, b]),
+            self._grads((unfused * c).sum(), [x, w, b])))
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_attention(self, padded):
+        # heads as the model makes them: [B,T,H,hd] transposed to [B,H,T,hd]
+        B, T, H, hd = 2, 6, 3, 4
+        qkv = [Parameter(n, self.rng.normal(size=(B, T, H, hd))) for n in "qkv"]
+        bias = None
+        if padded:
+            bias = np.where(np.arange(T) < np.array([[T], [3]]), 0.0, ATTN_MASK_BIAS)
+            bias = bias[:, None, None, :]
+        scale = 1.0 / np.sqrt(hd)
+        c = self.rng.normal(size=(B, H, T, hd))
+
+        def heads():
+            return [t.transpose(0, 2, 1, 3) for t in qkv]
+
+        q, k, v = heads()
+        fused = attention(q, k, v, scale, bias)
+        q, k, v = heads()
+        scores = (q @ k.transpose(0, 1, 3, 2)) * scale
+        if padded:
+            scores = scores + bias
+        unfused = reference_softmax(scores) @ v
+        assert np.array_equal(fused.data, unfused.data)
+        assert all(np.array_equal(f, u) for f, u in zip(
+            self._grads((fused * c).sum(), qkv), self._grads((unfused * c).sum(), qkv)))
+
+
 FD_TOL = 1e-4
 
 
@@ -205,6 +313,25 @@ class TestPrimitiveGradients:
         x = Parameter("x", self.rng.normal(size=(3, 5)))
         c = Tensor(self.rng.normal(size=(3, 5)))
         assert grad_check(lambda: (softmax_rows(x) * c).sum(), [x]) < FD_TOL
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)])
+    def test_linear(self, shape):
+        x = Parameter("x", self.rng.normal(size=shape))
+        w = Parameter("w", self.rng.normal(size=(4, 5)))
+        b = Parameter("b", self.rng.normal(size=(5,)))
+        c = Tensor(self.rng.normal(size=shape[:-1] + (5,)))
+        assert grad_check(lambda: (linear(x, w, b) * c).sum(), [x, w, b]) < FD_TOL
+
+    def test_attention(self):
+        q = Parameter("q", self.rng.normal(size=(2, 3, 4, 5)))
+        k = Parameter("k", self.rng.normal(size=(2, 3, 6, 5)))
+        v = Parameter("v", self.rng.normal(size=(2, 3, 6, 7)))
+        # the second row's last two keys are padding
+        bias = np.zeros((2, 1, 1, 6))
+        bias[1, ..., 4:] = ATTN_MASK_BIAS
+        c = Tensor(self.rng.normal(size=(2, 3, 4, 7)))
+        assert grad_check(lambda: (attention(q, k, v, 0.37, bias) * c).sum(),
+                          [q, k, v]) < FD_TOL
 
     def test_layer_norm(self):
         x = Parameter("x", self.rng.normal(size=(3, 4)))

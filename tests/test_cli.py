@@ -152,7 +152,10 @@ class TestConfigSections:
         "finetune.lr_frozen=-0.1", "finetune.lr_unfrozen=0",
     ])
     def test_impossible_training_setting_exits_2(self, ws, tmp_path, capsys, item):
-        code = run("adapt", "--vocab", ws["vocab_path"], "--corpus", ws["corpus_b"],
+        # each section is checked by the step that reads it
+        step = (["finetune", "--dataset", ws["dataset"], "--base", "vanilla"]
+                if item.startswith("finetune.") else ["adapt", "--corpus", ws["corpus_b"]])
+        code = run(*step, "--vocab", ws["vocab_path"],
                    "--seed", 7, "--out", tmp_path, *TINY, "--set", item)
         err = capsys.readouterr().err
         assert code == 2
@@ -371,6 +374,25 @@ class TestManifestKeys:
         assert run("evaluate", "--vocab", ws["vocab_path"], "--ckpt", ckpt, "--data", data,
                    "--task", task, "--seed", 7, "--out", tmp_path, *TINY) == 0
         assert set(read_manifest(tmp_path)["config"]) == keys
+
+    @pytest.mark.parametrize("command, item", [
+        ("finetune", "mlm.epochs=-1"),
+        ("classify", "masking.p_mask=2.0"),
+    ])
+    def test_bad_value_in_a_section_not_read_is_ignored(self, ws, tmp_path, command, item):
+        argv = {"finetune": ["finetune", "--dataset", ws["dataset"], "--base", ws["adapted"]],
+                "classify": ["evaluate", "--task", "classify", "--data", ws["dataset"],
+                             "--ckpt", os.path.join(ws["ft_vanilla"], "classifier.ckpt")]}
+        assert run(*argv[command], "--vocab", ws["vocab_path"], "--seed", 7,
+                   "--out", tmp_path, *TINY, "--set", item) == 0
+
+    def test_bad_value_in_a_section_read_exits_2(self, ws, tmp_path, capsys):
+        code = run("evaluate", "--task", "mlm", "--data", ws["corpus_b"],
+                   "--ckpt", ws["adapted"], "--vocab", ws["vocab_path"], "--seed", 7,
+                   "--out", tmp_path, *TINY, "--set", "masking.p_mask=2.0")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: p_mask must be in [0, 1)")
 
     def test_baseline_outputs_ignore_other_sections(self, ws, tmp_path):
         for out, extra in [("plain", []),

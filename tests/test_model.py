@@ -86,38 +86,41 @@ class TestEncodeForward:
         with pytest.raises(ValueError):
             m.encode_forward(np.array([[50]]))
 
-    def test_attention_rows_sum_to_one_over_real_keys(self, monkeypatch):
-        m = TransformerModel(tiny_config())
+    @staticmethod
+    def _spy_weights(monkeypatch):
+        """Record each attention call's weights, read by calling the op again
+        with v set to the identity."""
         captured = []
-        orig = model_mod.softmax_rows
+        orig = model_mod.attention
 
-        def spy(x):
-            out = orig(x)
-            captured.append(out.data)
-            return out
+        def spy(q, k, v, scale, bias=None):
+            eye = Tensor(np.eye(k.shape[-2]))
+            captured.append(orig(q, k, eye, scale, bias).data)
+            return orig(q, k, v, scale, bias)
 
-        monkeypatch.setattr(model_mod, "softmax_rows", spy)
+        monkeypatch.setattr(model_mod, "attention", spy)
+        return captured
+
+    def test_attention_rows_sum_to_one_over_real_keys(self, monkeypatch):
+        m = TransformerModel(tiny_config(num_layers=2))
+        captured = self._spy_weights(monkeypatch)
         ids = np.array([[5, 6, 7, 0, 0]])
         mask = np.array([[True, True, True, False, False]])
         m.encode_forward(ids, pad_mask=mask, mode="eval")
+        assert len(captured) == 2
         for w in captured:
+            assert w.shape == (1, 2, 5, 5)
             # PAD keys get ~zero weight; remaining rows sum to 1
             assert np.all(np.abs(w.sum(axis=-1) - 1.0) <= 1e-10)
             assert np.all(w[..., 3:] < 1e-12)
 
     def test_single_token_attention_weight_is_one(self, monkeypatch):
-        m = TransformerModel(tiny_config())
-        captured = []
-        orig = model_mod.softmax_rows
-
-        def spy(x):
-            out = orig(x)
-            captured.append(out.data)
-            return out
-
-        monkeypatch.setattr(model_mod, "softmax_rows", spy)
+        m = TransformerModel(tiny_config(num_layers=2))
+        captured = self._spy_weights(monkeypatch)
         m.encode_forward(np.array([[7]]), mode="eval")
+        assert len(captured) == 2
         for w in captured:
+            assert w.shape == (1, 2, 1, 1)
             assert_allclose(w, np.ones_like(w))
 
     def test_eval_forward_deterministic(self):

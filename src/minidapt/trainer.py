@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (IGNORE_LABEL, bce_with_logits, masked_cross_entropy,
+from .autodiff import (IGNORE_LABEL, Tensor, bce_with_logits, masked_cross_entropy,
                        no_grad, stable_sigmoid)
 from .corpus import SplitSpec
 from .masking import MaskingConfig, collate
@@ -71,6 +71,10 @@ class TrainConfig:
 
 @dataclass
 class CurvePoint:
+    """One epoch of a curve. train_loss and train_acc are over the batches as
+    they were trained (train mode, dropout on); val_loss and val_acc are an
+    eval-mode pass over the validation set. The accuracies are for the
+    fine-tuning stages only."""
     stage: str
     epoch: int
     train_loss: float
@@ -175,6 +179,8 @@ def encode_examples(docs, vocab, max_len):
     """CLS + subword ids + SEP, truncated then PAD-padded to max_len.
     Returns (ids [N,T], pad_mask [N,T], labels [N])."""
     from .tokenizer import encode
+    if max_len < 2:
+        raise ValueError(f"max_len must be at least 2 to hold CLS and SEP, got {max_len}")
     ids = np.full((len(docs), max_len), vocab.pad_id, dtype=np.int64)
     mask = np.zeros((len(docs), max_len), dtype=bool)
     labels = np.zeros(len(docs), dtype=np.float64)
@@ -197,28 +203,47 @@ def _trim(ids, mask):
     return ids[:, :w], mask[:, :w]
 
 
-def _classifier_eval(ckpt, ids, mask, labels, batch_size):
-    """Eval-mode loss, accuracy, and probabilities over a dataset."""
-    model = ckpt.model
-    probs = np.empty(len(ids))
-    total = 0.0
+def _cls_rows(model, ids, mask, batch_size):
+    """Eval-mode CLS-slot rows [N, d] of a dataset, the head's only input;
+    `classify_logits` takes a batch of them as hidden states rows[idx][:, None]."""
+    rows = np.empty((len(ids), model.config.d_model))
     with no_grad():
         for idx in _batches(len(ids), batch_size):
             b_ids, b_mask = _trim(ids[idx], mask[idx])
-            hidden = model.encode_forward(b_ids, pad_mask=b_mask, mode="eval")
-            logits = model.classify_logits(hidden, mode="eval")
+            rows[idx] = model.encode_forward(b_ids, pad_mask=b_mask, mode="eval").data[:, 0]
+    return rows
+
+
+def _head_eval(model, rows, labels, batch_size):
+    """Eval-mode loss, accuracy, and probabilities of the head on CLS rows."""
+    probs = np.empty(len(rows))
+    total = 0.0
+    with no_grad():
+        for idx in _batches(len(rows), batch_size):
+            logits = model.classify_logits(Tensor(rows[idx][:, None]), mode="eval")
             total += float(bce_with_logits(logits, labels[idx]).data) * len(idx)
             probs[idx] = stable_sigmoid(logits.data)
     preds = (probs >= 0.5).astype(int)
     acc = float((preds == labels.astype(int)).mean())
-    return total / len(ids), acc, probs
+    return total / len(rows), acc, probs
+
+
+def _classifier_eval(ckpt, ids, mask, labels, batch_size):
+    """Eval-mode loss, accuracy, and probabilities over a dataset."""
+    rows = _cls_rows(ckpt.model, ids, mask, batch_size)
+    return _head_eval(ckpt.model, rows, labels, batch_size)
 
 
 def finetune_staged(base, dataset_splits, cfg, vocab):
     """Two-stage fine-tuning: head-only at lr_frozen, then full model at
     lr_unfrozen from the stage-1 best weights, each stage with a fresh Adam
     state; returns the checkpoint with the lowest validation loss seen in
-    either stage, plus curve points."""
+    either stage, plus curve points.
+
+    Stage 1 trains the head on the frozen encoder's eval-mode CLS rows,
+    encoded once, as a frozen base runs; head dropout and train-mode batch
+    norm still apply. A curve's train_acc is the accuracy of the train-mode
+    logits of each batch as it was trained."""
     train_docs, val_docs = dataset_splits[0], dataset_splits[1]
     if not train_docs or not val_docs:
         raise ValueError("finetune_staged: empty split")
@@ -234,35 +259,43 @@ def finetune_staged(base, dataset_splits, cfg, vocab):
 
     def run_stage(ckpt, stage_idx, stage_name, selector, epochs, lr):
         nonlocal best
+        if epochs == 0:
+            return
         model = ckpt.model
         set_trainable(model, selector)
         params = list(model.params.values())
         adam = AdamState()
+        frozen = selector == "head-only"
+        if frozen:
+            tr_rows = _cls_rows(model, tr_ids, tr_mask, ft.batch_size)
+            va_rows = _cls_rows(model, va_ids, va_mask, ft.batch_size)
         shuffle_rng = np.random.default_rng([cfg.seed, _FT_SHUFFLE, stage_idx])
         for epoch in range(1, epochs + 1):
             order = shuffle_rng.permutation(len(tr_ids))
-            total = 0.0
+            total, correct = 0.0, 0
             for bidx, idx in enumerate(_batches(len(tr_ids), ft.batch_size,
                                                 merge_singleton=True)):
                 sel = order[idx]
                 drop_rng = np.random.default_rng(
                     [cfg.seed, _FT_DROPOUT, stage_idx, epoch, bidx])
                 model.zero_grads()
-                b_ids, b_mask = _trim(tr_ids[sel], tr_mask[sel])
-                hidden = model.encode_forward(b_ids, pad_mask=b_mask,
-                                              mode="train", rng=drop_rng)
+                if frozen:
+                    hidden = Tensor(tr_rows[sel][:, None])
+                else:
+                    b_ids, b_mask = _trim(tr_ids[sel], tr_mask[sel])
+                    hidden = model.encode_forward(b_ids, pad_mask=b_mask,
+                                                  mode="train", rng=drop_rng)
                 logits = model.classify_logits(hidden, mode="train", rng=drop_rng)
                 loss = bce_with_logits(logits, tr_labels[sel])
                 loss.backward()
                 adam_step(params, adam, lr)
                 total += float(loss.data) * len(sel)
-            train_loss = total / len(tr_ids)
-            _, train_acc, _ = _classifier_eval(ckpt, tr_ids, tr_mask, tr_labels,
-                                               ft.batch_size)
-            val_loss, val_acc, _ = _classifier_eval(ckpt, va_ids, va_mask, va_labels,
-                                                    ft.batch_size)
-            curves.append(CurvePoint(stage_name, epoch, train_loss, val_loss,
-                                     train_acc, val_acc))
+                correct += int(((stable_sigmoid(logits.data) >= 0.5) == tr_labels[sel]).sum())
+            if not frozen:
+                va_rows = _cls_rows(model, va_ids, va_mask, ft.batch_size)
+            val_loss, val_acc, _ = _head_eval(model, va_rows, va_labels, ft.batch_size)
+            curves.append(CurvePoint(stage_name, epoch, total / len(tr_ids), val_loss,
+                                     correct / len(tr_ids), val_acc))
             if best is None or val_loss < best[0]:
                 snap = ckpt.copy()
                 snap.provenance = {"stage": stage_name, "epoch": epoch,

@@ -217,12 +217,13 @@ def test_07_overfit_capability(small_vocab):
     cfg.finetune.lr_frozen = 3e-3
     cfg.finetune.lr_unfrozen = 3e-4
     ckpt = Checkpoint(tiny_model(small_vocab))
-    _, curves = finetune_staged(ckpt, (docs, docs[:8], docs[:8]),
-                                cfg, small_vocab)
-    best_acc = max(p.train_acc for p in curves)
+    out, _ = finetune_staged(ckpt, (docs, docs[:8], docs[:8]), cfg, small_vocab)
+    # the returned checkpoint's eval-mode accuracy on its own training docs;
+    # the curves' train_acc carries head dropout
+    acc = evaluate(out, docs, "classify", cfg, small_vocab).accuracy
     elapsed = time.perf_counter() - start
-    report(7, "overfit capability", best_acc >= 0.99 and elapsed < 300,
-           f"train acc {best_acc:.3f} in {elapsed:.1f}s")
+    report(7, "overfit capability", acc >= 0.99 and elapsed < 300,
+           f"train acc {acc:.3f} in {elapsed:.1f}s")
 
 
 def test_08_adaptation_reduces_perplexity(small_vocab):

@@ -312,6 +312,15 @@ class TestFinetuneCommand:
         assert code == 2
         assert "label" in capsys.readouterr().err
 
+    def test_max_len_below_two_exits_2(self, ws, tmp_path, capsys):
+        # a row holds at least CLS and SEP
+        code = run("finetune", "--vocab", ws["vocab_path"], "--dataset", ws["dataset"],
+                   "--base", "vanilla", "--seed", 7, "--out", tmp_path, *TINY,
+                   "--set", "encoder.max_len=1")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: max_len must be at least 2")
+
     def test_broken_base_checkpoint_exits_2(self, ws, tmp_path, capsys):
         broken = tmp_path / "broken.ckpt"
         shutil.copyfile(ws["adapted"], broken)

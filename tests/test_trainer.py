@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from minidapt.autodiff import IGNORE_LABEL, bce_with_logits, masked_cross_entropy
+from minidapt.autodiff import (IGNORE_LABEL, bce_with_logits, masked_cross_entropy,
+                               stable_sigmoid)
 from minidapt.checkpoint import Checkpoint
 from minidapt.corpus import Chunk
 from minidapt.fixtures import separable_dataset
 from minidapt.masking import collate
 from minidapt.model import TransformerModel
-from minidapt.trainer import (CurvePoint, FinetuneConfig, MLMConfig, _mlm_batch_loss,
-                              _trim, adapt_mlm, effective_warmup, encode_examples,
-                              evaluate, finetune_staged, mlm_validation_loss,
-                              write_curves)
+from minidapt.trainer import (CurvePoint, FinetuneConfig, MLMConfig, _batches,
+                              _classifier_eval, _mlm_batch_loss, _trim, adapt_mlm,
+                              effective_warmup, encode_examples, evaluate,
+                              finetune_staged, mlm_validation_loss, write_curves)
 
 from conftest import tiny_model, tiny_train_config
 
@@ -390,3 +391,82 @@ class TestComputeOnlyWhatIsRead:
         assert abs(loss_g - loss_f) <= 1e-12
         for name, g in grads_f.items():
             assert_allclose(grads_g[name], g, rtol=0, atol=1e-12, err_msg=name)
+
+
+def _head_state(model):
+    return ([model.params[n].data.tobytes() for n in model.head_param_names()],
+            [(s.running_mean.tobytes(), s.running_var.tobytes())
+             for s in model.bn_states.values()])
+
+
+class TestFrozenStageFeatures:
+    """Stage 1 trains the head on eval-mode CLS rows encoded once; train_acc
+    comes from the training forward."""
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_encoder_runs_once_per_batch_in_eval_mode(self, small_vocab, tiny_checkpoint,
+                                                      monkeypatch, epochs):
+        calls = _spy(monkeypatch, "encode_forward")
+        parts = split_docs(separable_dataset(seed=1))
+        cfg = tiny_train_config()
+        cfg.finetune.stage1_epochs = epochs
+        cfg.finetune.stage2_epochs = 0
+        finetune_staged(tiny_checkpoint, parts, cfg, small_vocab)
+        bs = cfg.finetune.batch_size
+        assert {kw["mode"] for _, kw in calls} == {"eval"}
+        assert len(calls) == math.ceil(len(parts[0]) / bs) + math.ceil(len(parts[1]) / bs)
+
+    def test_frozen_val_loss_equals_a_fresh_eval(self, small_vocab, tiny_checkpoint):
+        parts = split_docs(separable_dataset(seed=1))
+        cfg = tiny_train_config()
+        cfg.finetune.stage1_epochs = 3
+        cfg.finetune.stage2_epochs = 0
+        out, curves = finetune_staged(tiny_checkpoint, parts, cfg, small_vocab)
+        assert out.provenance["stage"] == "frozen"
+        ids, mask, labels = encode_examples(parts[1], small_vocab,
+                                            out.model.config.max_len)
+        val_loss, _, _ = _classifier_eval(out, ids, mask, labels, cfg.finetune.batch_size)
+        assert out.provenance["val_loss"] == val_loss
+        assert val_loss in [p.val_loss for p in curves]
+
+    def test_head_ignores_encoder_dropout(self, small_vocab):
+        parts = split_docs(separable_dataset(seed=1))
+        cfg = tiny_train_config()
+        cfg.finetune.stage2_epochs = 0
+        runs = []
+        for rate in (0.0, 0.3):
+            base = Checkpoint(tiny_model(small_vocab, dropout_rate=rate))
+            out, curves = finetune_staged(base, parts, cfg, small_vocab)
+            runs.append((_head_state(out.model), curves))
+        assert runs[0] == runs[1]
+
+    def test_train_acc_is_read_from_the_training_logits(self, small_vocab,
+                                                        tiny_checkpoint, monkeypatch):
+        import minidapt.trainer as trainer_mod
+        logits, targets = [], []
+        real_head, real_loss = TransformerModel.classify_logits, trainer_mod.bce_with_logits
+
+        def head(self, hidden, mode="eval", rng=None):
+            out = real_head(self, hidden, mode, rng)
+            logits.append((mode, out.data.copy()))
+            return out
+
+        def loss(z, y):
+            targets.append(np.asarray(y).copy())
+            return real_loss(z, y)
+
+        monkeypatch.setattr(TransformerModel, "classify_logits", head)
+        monkeypatch.setattr(trainer_mod, "bce_with_logits", loss)
+        parts = split_docs(separable_dataset(seed=1))
+        cfg = tiny_train_config()
+        _, curves = finetune_staged(tiny_checkpoint, parts, cfg, small_vocab)
+        # every head call is scored by exactly one loss call, in order
+        assert len(logits) == len(targets)
+        correct = [int(((stable_sigmoid(z) >= 0.5) == y).sum())
+                   for (mode, z), y in zip(logits, targets) if mode == "train"]
+        per_epoch = len(_batches(len(parts[0]), cfg.finetune.batch_size,
+                                 merge_singleton=True))
+        assert len(correct) == per_epoch * len(curves)
+        for i, point in enumerate(curves):
+            assert point.train_acc == sum(correct[i * per_epoch:(i + 1) * per_epoch]) \
+                / len(parts[0])

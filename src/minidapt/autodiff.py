@@ -87,11 +87,19 @@ class Tensor:
             return
         g = _unbroadcast(g, self.data.shape)
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy, never `g` itself: `+` hands one `g` to both parents and
+            # views hand on their input's; `empty_like` keeps the layout, and
+            # so the summation order, of `zeros_like`
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        else:
+            self.grad.fill(0.0)
 
     # ---- graph construction helpers -------------------------------------
 
@@ -172,7 +180,7 @@ class Tensor:
     def __getitem__(self, idx):
         def _backward(g):
             full = np.zeros_like(self.data)
-            full[idx] = g
+            np.add.at(full, idx, g)  # a repeated index adds, not overwrites
             self._accum(full)
 
         return self._child(self.data[idx], (self,), _backward)
@@ -232,15 +240,21 @@ def stable_sigmoid(x):
     return out
 
 
-def linear(x, w, b):
-    """x @ w + b as one node: the bias is added in place into the product.
-    The backward runs the expressions of `matmul` followed by `+`, so values
-    and gradients equal that composition's bit for bit."""
+def linear(x, w, b, relu=False):
+    """x @ w + b as one node, then ReLU with `relu`: the bias and the ReLU are
+    applied in place to the product, which is all the node keeps. The
+    backward masks `g` with `out > 0` (equal to `z > 0` for the pre-activation
+    `z`) and runs the expressions of `matmul` followed by `+`, so values and
+    gradients equal the composition `(x @ w + b).relu()` bit for bit."""
     _check_inner("linear", x, w)
     out = x.data @ w.data
     out += b.data
+    if relu:
+        np.maximum(out, 0.0, out=out)
 
     def _backward(g):
+        if relu:
+            g = g * (out > 0)
         b._accum(g)
         if x.requires_grad:
             x._accum(g @ np.swapaxes(w.data, -1, -2))
@@ -259,7 +273,8 @@ def attention(q, k, v, scale, bias=None):
     kept for the backward pass. The backward does the arithmetic of `matmul`,
     `*`, `+` and a row softmax's backward in their order, with the score
     gradient worked out in place in one buffer, so values and gradients equal
-    that composition's bit for bit.
+    that composition's bit for bit. The row sums of `gs * w` are taken one
+    leading-axis slice at a time, so no second score-sized buffer is made.
     """
     w = q.data @ np.swapaxes(k.data, -1, -2)
     w *= scale
@@ -273,7 +288,12 @@ def attention(q, k, v, scale, bias=None):
         if v.requires_grad:
             v._accum(np.swapaxes(w, -1, -2) @ g)
         gs = g @ np.swapaxes(v.data, -1, -2)
-        gs -= (gs * w).sum(axis=-1, keepdims=True)
+        prod = np.empty_like(gs[0])
+        rows = np.empty(gs.shape[:-1] + (1,))
+        for i in range(len(gs)):
+            np.multiply(gs[i], w[i], out=prod)
+            prod.sum(axis=-1, keepdims=True, out=rows[i])
+        gs -= rows
         gs *= w
         gs *= scale
         if q.requires_grad:
@@ -364,14 +384,38 @@ def embedding(table, ids):
     return table._child(table.data[ids], (table,), _backward)
 
 
-def dropout(x, rate, rng, mode):
-    """Inverted dropout; identity in eval mode or at rate 0."""
-    if mode != "train" or rate == 0.0:
-        return x
+def _keep_mask(shape, rate, rng):
     if rng is None:
         raise ValueError("dropout: train mode needs an rng")
-    mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    return x._child(x.data * mask, (x,), lambda g: x._accum(g * mask))
+    return rng.random(shape) >= rate
+
+
+def dropout(x, rate, rng, mode):
+    """Inverted dropout; identity in eval mode or at rate 0. The node keeps
+    the boolean keep-mask and scales it by 1 / (1 - rate) when used."""
+    if mode != "train" or rate == 0.0:
+        return x
+    keep = _keep_mask(x.data.shape, rate, rng)
+    return x._child(x.data * (keep / (1.0 - rate)), (x,),
+                    lambda g: x._accum(g * (keep / (1.0 - rate))))
+
+
+def residual(x, a, rate, rng, mode):
+    """x + dropout(a) as one node: the same draw from `rng` as `dropout`, and
+    only the boolean keep-mask is kept, not the dropped-out `a`. Values and
+    gradients equal that composition's bit for bit."""
+    if mode != "train" or rate == 0.0:
+        return x + a
+    keep = _keep_mask(a.data.shape, rate, rng)
+    out = keep / (1.0 - rate)
+    out *= a.data
+    out += x.data
+
+    def _backward(g):
+        x._accum(g)
+        a._accum(g * (keep / (1.0 - rate)))
+
+    return x._child(out, (x, a), _backward)
 
 
 IGNORE_LABEL = -100
@@ -380,26 +424,33 @@ IGNORE_LABEL = -100
 def masked_cross_entropy(logits, labels, ignore=IGNORE_LABEL):
     """Mean cross-entropy in nats over positions whose label != ignore.
 
-    logits: Tensor [..., V]; labels: integer ndarray of the leading shape.
+    logits: Tensor [..., V]; labels: integer ndarray of the leading shape,
+    each in [0, V) or `ignore` (else a ValueError names it).
     Returns a scalar Tensor; zero (no gradient) when nothing is labeled.
     """
     labels = np.asarray(labels)
-    flat = logits.data.reshape(-1, logits.data.shape[-1])
+    V = logits.data.shape[-1]
+    flat = logits.data.reshape(-1, V)
     lab = labels.reshape(-1)
     sel = lab != ignore
-    n = int(sel.sum())
+    target = lab[sel]
+    bad = (target < 0) | (target >= V)
+    if bad.any():
+        raise ValueError(f"masked_cross_entropy: label {int(target[bad][0])} "
+                         f"out of range [0, {V})")
+    n = len(target)
     if n == 0:
         return Tensor(0.0)
     rows = flat[sel]
     m = rows.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(rows - m).sum(axis=1))
-    picked = rows[np.arange(n), lab[sel]]
+    picked = rows[np.arange(n), target]
     loss = float((lse - picked).mean())
 
     def _backward(g):
         full = np.zeros_like(flat)
         sm = np.exp(rows - lse[:, None])
-        sm[np.arange(n), lab[sel]] -= 1.0
+        sm[np.arange(n), target] -= 1.0
         full[sel] = sm / n
         logits._accum(float(g) * full.reshape(logits.data.shape))
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (BatchNormState, Parameter, attention, batch_norm, dropout,
-                       embedding, layer_norm, linear)
+                       embedding, layer_norm, linear, residual)
 
 ATTN_MASK_BIAS = -1e9  # additive bias for PAD keys; finite stand-in for -inf
 
@@ -142,7 +142,7 @@ class TransformerModel:
         B, T = ids.shape
         if T > cfg.max_len:
             raise ValueError(f"sequence length {T} exceeds max_len {cfg.max_len}")
-        if np.any(ids >= cfg.vocab_size):
+        if np.any(ids < 0) or np.any(ids >= cfg.vocab_size):
             raise ValueError("token id out of range")
         P = self.params
         x = embedding(P["embed.tok"], ids) + P["embed.pos"][:T]
@@ -154,14 +154,11 @@ class TransformerModel:
         for i in range(cfg.num_layers):
             p = f"layer{i}"
             h = layer_norm(x, P[f"{p}.ln1.gamma"], P[f"{p}.ln1.beta"])
-            attn = self._attention(h, p, bias)
-            attn = dropout(attn, cfg.dropout_rate, rng, mode)
-            x = x + attn
+            x = residual(x, self._attention(h, p, bias), cfg.dropout_rate, rng, mode)
             h = layer_norm(x, P[f"{p}.ln2.gamma"], P[f"{p}.ln2.beta"])
-            ff = linear(h, P[f"{p}.ffn.w1"], P[f"{p}.ffn.b1"]).relu()
+            ff = linear(h, P[f"{p}.ffn.w1"], P[f"{p}.ffn.b1"], relu=True)
             ff = linear(ff, P[f"{p}.ffn.w2"], P[f"{p}.ffn.b2"])
-            ff = dropout(ff, cfg.dropout_rate, rng, mode)
-            x = x + ff
+            x = residual(x, ff, cfg.dropout_rate, rng, mode)
         return layer_norm(x, P["final_ln.gamma"], P["final_ln.beta"])
 
     def _attention(self, h, prefix, bias):
@@ -188,10 +185,10 @@ class TransformerModel:
             raise ValueError("classify: train mode needs batch size >= 2")
         P = self.params
         pooled = hidden[:, 0, :]
-        z = linear(pooled, P["head.dense1.w"], P["head.dense1.b"]).relu()
+        z = linear(pooled, P["head.dense1.w"], P["head.dense1.b"], relu=True)
         z = batch_norm(z, P["head.bn1.gamma"], P["head.bn1.beta"],
                        self.bn_states["head.bn1"], mode)
-        z = linear(z, P["head.dense2.w"], P["head.dense2.b"]).relu()
+        z = linear(z, P["head.dense2.w"], P["head.dense2.b"], relu=True)
         z = batch_norm(z, P["head.bn2.gamma"], P["head.bn2.beta"],
                        self.bn_states["head.bn2"], mode)
         z = dropout(z, self.config.head_dropout, rng, mode)

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from minidapt.autodiff import (BatchNormState, Parameter, ShapeError, Tensor,
+from minidapt.autodiff import (IGNORE_LABEL, BatchNormState, Parameter, ShapeError, Tensor, _tape,
                                attention, batch_norm, bce_with_logits, dropout,
                                embedding, grad_check, layer_norm, linear,
-                               masked_cross_entropy, no_grad, stable_sigmoid)
+                               masked_cross_entropy, no_grad, residual, stable_sigmoid)
+from minidapt.masking import MaskingConfig, collate
 from minidapt.model import ATTN_MASK_BIAS
+from minidapt.trainer import _mlm_batch_loss
 
 from conftest import tiny_model
 
@@ -180,6 +182,33 @@ class TestBackward:
         y.sum().backward()
         assert_allclose(w.grad, [2 * 2.0 + 3.0])
 
+    def test_add_parents_get_their_own_gradients(self):
+        # `+` hands one gradient array to both parents; `a` gets it first and
+        # then a second term, which must not reach `b`
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        c = np.array([1.0, 2.0, 3.0])
+        d = np.array([10.0, 20.0, 30.0])
+        ((a * d).sum() + ((a + b) * c).sum()).backward()
+        assert a.grad is not b.grad
+        assert_allclose(a.grad, c + d)
+        assert_allclose(b.grad, c)
+
+    def test_repeated_index_adds(self):
+        w = Parameter("w", np.ones(3))
+        w[np.array([0, 0, 1])].sum().backward()
+        assert_allclose(w.grad, [2.0, 1.0, 0.0])
+
+    def test_zero_grads_keeps_each_grad_array(self, small_vocab):
+        model = tiny_model(small_vocab)
+        before = {n: p.grad for n, p in model.params.items()}
+        ids = np.random.default_rng(0).integers(5, small_vocab.size, size=(2, 6))
+        model.mlm_logits(model.encode_forward(ids)).sum().backward()
+        assert any(np.any(p.grad != 0) for p in model.params.values())
+        model.zero_grads()
+        for n, p in model.params.items():
+            assert p.grad is before[n] and not np.any(p.grad), n
+
 
 class TestGradCheck:
     def test_linear_is_near_exact(self):
@@ -203,6 +232,16 @@ class TestLinear:
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))), Tensor(np.ones(2)))
+
+
+class TestMaskedCrossEntropyLabels:
+    @pytest.mark.parametrize("bad", [-1, 5, 7])
+    def test_label_out_of_range_is_named(self, bad):
+        # -1 would score the last class, 7 end in an IndexError
+        x = Tensor(np.zeros((2, 3, 5)))
+        labels = np.array([[1, IGNORE_LABEL, 3], [bad, 4, 0]])
+        with pytest.raises(ValueError, match=rf"label {bad} out of range \[0, 5\)"):
+            masked_cross_entropy(x, labels)
 
 
 class TestNoGrad:
@@ -260,6 +299,32 @@ class TestFusedMatchesUnfused:
         assert all(np.array_equal(f, u) for f, u in zip(
             self._grads((fused * c).sum(), [x, w, b]),
             self._grads((unfused * c).sum(), [x, w, b])))
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_linear_relu(self, ndim):
+        x = Parameter("x", self.rng.normal(size=(2, 3, 4)[3 - ndim:]))
+        w = Parameter("w", self.rng.normal(size=(4, 5)))
+        b = Parameter("b", self.rng.normal(size=(5,)))
+        c = self.rng.normal(size=x.shape[:-1] + (5,))
+        fused = linear(x, w, b, relu=True)
+        unfused = (x @ w + b).relu()
+        assert np.any(fused.data == 0) and np.any(fused.data > 0)
+        assert np.array_equal(fused.data, unfused.data)
+        assert all(np.array_equal(f, u) for f, u in zip(
+            self._grads((fused * c).sum(), [x, w, b]),
+            self._grads((unfused * c).sum(), [x, w, b])))
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_residual(self, mode):
+        x = Parameter("x", self.rng.normal(size=(2, 6, 4)))
+        a = Parameter("a", self.rng.normal(size=(2, 6, 4)))
+        c = self.rng.normal(size=(2, 6, 4))
+        fused = residual(x, a, 0.3, np.random.default_rng(5), mode)
+        unfused = x + dropout(a, 0.3, np.random.default_rng(5), mode)
+        assert np.array_equal(fused.data, unfused.data)
+        assert all(np.array_equal(f, u) for f, u in zip(
+            self._grads((fused * c).sum(), [x, a]),
+            self._grads((unfused * c).sum(), [x, a])))
 
     @pytest.mark.parametrize("padded", [False, True])
     def test_attention(self, padded):
@@ -365,6 +430,27 @@ class TestPrimitiveGradients:
         c = Tensor(self.rng.normal(size=(4, 4)))
         assert grad_check(lambda: (x.relu() * c).sum(), [x]) < FD_TOL
 
+    def test_linear_relu(self):
+        x = Parameter("x", self.rng.normal(size=(2, 3, 4)))
+        w = Parameter("w", self.rng.normal(size=(4, 5)))
+        b = Parameter("b", self.rng.normal(size=(5,)))
+        c = Tensor(self.rng.normal(size=(2, 3, 5)))
+        assert grad_check(lambda: (linear(x, w, b, relu=True) * c).sum(), [x, w, b]) < FD_TOL
+
+    def test_residual(self):
+        x = Parameter("x", self.rng.normal(size=(3, 4)))
+        a = Parameter("a", self.rng.normal(size=(3, 4)))
+        c = Tensor(self.rng.normal(size=(3, 4)))
+        # a fresh rng per call, so every call drops the same entries
+        assert grad_check(lambda: (residual(x, a, 0.4, np.random.default_rng(3), "train")
+                                   * c).sum(), [x, a]) < FD_TOL
+
+    def test_getitem_repeated_index(self):
+        w = Parameter("w", self.rng.normal(size=(4, 3)))
+        c = Tensor(self.rng.normal(size=(5, 3)))
+        idx = np.array([2, 0, 2, 2, 1])
+        assert grad_check(lambda: (w[idx] * c).sum(), [w]) < FD_TOL
+
     def test_embedding(self):
         table = Parameter("t", self.rng.normal(size=(9, 4)))
         ids = np.array([[0, 3, 3], [8, 1, 0]])
@@ -424,6 +510,8 @@ class TestDropout:
     def test_train_requires_rng(self):
         with pytest.raises(ValueError):
             dropout(Tensor(np.ones(3)), 0.5, None, "train")
+        with pytest.raises(ValueError, match="dropout: train mode needs an rng"):
+            residual(Tensor(np.ones(3)), Tensor(np.ones(3)), 0.5, None, "train")
 
     def test_preserves_expectation(self):
         rng = np.random.default_rng(0)
@@ -468,6 +556,36 @@ class TestGraphLifetime:
         assert interior() is None
         for p in model.params.values():
             assert p.requires_grad and p.grad is not None and np.any(p.grad != 0), p.name
+
+    @staticmethod
+    def _retained_bytes(root):
+        """Bytes of the distinct arrays a graph holds for its backward: each op
+        result's output and the arrays its backward closure refers to, a view
+        counted once through its base, the leaves' own arrays left out."""
+        def base(a):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            return a
+
+        leaves, kept = set(), {}
+        for node in _tape(root):
+            if not node._prev:
+                leaves.add(id(base(node.data)))
+                continue
+            cells = [c.cell_contents for c in node._backward.__closure__ or ()]
+            for a in [node.data] + cells:
+                if isinstance(a, np.ndarray):
+                    kept[id(base(a))] = base(a)
+        return sum(a.nbytes for k, a in kept.items() if k not in leaves)
+
+    def test_mlm_step_keeps_only_what_backward_reads(self, small_vocab, small_chunks):
+        model = tiny_model(small_vocab)
+        batch = collate(small_chunks[:8], MaskingConfig(), small_vocab,
+                        np.random.default_rng(0))
+        loss, _ = _mlm_batch_loss(model, batch, "train", np.random.default_rng(1))
+        # 878,640 bytes; with separate dropout, `+` and ReLU nodes and float64
+        # dropout masks the same graph held 1,067,056
+        assert self._retained_bytes(loss) <= 878_640
 
     def test_eval_graph_dies_with_its_result(self, small_vocab, no_gc):
         model = tiny_model(small_vocab)

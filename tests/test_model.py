@@ -86,6 +86,13 @@ class TestEncodeForward:
         with pytest.raises(ValueError):
             m.encode_forward(np.array([[50]]))
 
+    @pytest.mark.parametrize("bad", [-1, -3])
+    def test_negative_id_errors(self, bad):
+        # a negative id would read row V - |id| of the embedding table
+        m = TransformerModel(tiny_config())
+        with pytest.raises(ValueError, match="token id out of range"):
+            m.encode_forward(np.array([[1, bad, 2]]))
+
     @staticmethod
     def _spy_weights(monkeypatch):
         """Record each attention call's weights, read by calling the op again

@@ -1,7 +1,11 @@
 """Dense float64 tensors with reverse-mode gradients.
 
-Everything downstream (encoder, heads, losses) is built from the ops here.
-All arrays are 64-bit so finite-difference checks are meaningful.
+Everything downstream (encoder, heads, losses) is built from the ops here:
+`+`, `reshape`, `transpose` and indexing on `Tensor`, and one node each for
+`linear`, `attention`, `residual`, the norms, `embedding`, `dropout` and the
+losses. `linear`, `attention` and `residual` give bit for bit the values and
+gradients of the expressions their docstrings state. All arrays are 64-bit
+so finite-difference checks are meaningful.
 """
 
 from contextlib import contextmanager
@@ -21,14 +25,6 @@ def _unbroadcast(grad, shape):
         if s == 1 and g != 1:
             grad = grad.sum(axis=i, keepdims=True)
     return grad
-
-
-def _check_inner(op, x, w):
-    if x.data.ndim < 1 or w.data.ndim < 2 or x.data.shape[-1] != w.data.shape[-2]:
-        raise ShapeError(
-            f"{op}: inner dimensions disagree for shapes "
-            f"{tuple(x.data.shape)} and {tuple(w.data.shape)}"
-        )
 
 
 def _tape(root):
@@ -114,56 +110,11 @@ class Tensor:
     # ---- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Tensor):
-            other = Tensor(other)
-
         def _backward(g):
             self._accum(g)
             other._accum(g)
 
         return self._child(self.data + other.data, (self, other), _backward)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._child(-self.data, (self,), lambda g: self._accum(-g))
-
-    def __sub__(self, other):
-        if not isinstance(other, Tensor):
-            other = Tensor(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, Tensor):
-            other = Tensor(other)
-
-        def _backward(g):
-            if self.requires_grad:
-                self._accum(g * other.data)
-            if other.requires_grad:
-                other._accum(g * self.data)
-
-        return self._child(self.data * other.data, (self, other), _backward)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return self * (1.0 / float(scalar))
-
-    def matmul(self, other):
-        if not isinstance(other, Tensor):
-            other = Tensor(other)
-        _check_inner("matmul", self, other)
-
-        def _backward(g):
-            if self.requires_grad:
-                self._accum(g @ np.swapaxes(other.data, -1, -2))
-            if other.requires_grad:
-                other._accum(np.swapaxes(self.data, -1, -2) @ g)
-
-        return self._child(self.data @ other.data, (self, other), _backward)
-
-    __matmul__ = matmul
 
     # ---- shape ops -------------------------------------------------------
 
@@ -184,19 +135,6 @@ class Tensor:
             self._accum(full)
 
         return self._child(self.data[idx], (self,), _backward)
-
-    # ---- reductions & nonlinearities ------------------------------------
-
-    def sum(self):
-        return self._child(self.data.sum(), (self,),
-                           lambda g: self._accum(np.broadcast_to(g, self.data.shape)))
-
-    def mean(self):
-        return self.sum() / self.data.size
-
-    def relu(self):
-        return self._child(np.maximum(self.data, 0.0), (self,),
-                           lambda g: self._accum(g * (self.data > 0)))
 
     # ---- backward pass (the tape replay) ---------------------------------
 
@@ -242,11 +180,17 @@ def stable_sigmoid(x):
 
 def linear(x, w, b, relu=False):
     """x @ w + b as one node, then ReLU with `relu`: the bias and the ReLU are
-    applied in place to the product, which is all the node keeps. The
-    backward masks `g` with `out > 0` (equal to `z > 0` for the pre-activation
-    `z`) and runs the expressions of `matmul` followed by `+`, so values and
-    gradients equal the composition `(x @ w + b).relu()` bit for bit."""
-    _check_inner("linear", x, w)
+    applied in place to the product, which is all the node keeps.
+
+    Values and gradients equal, bit for bit, the NumPy expressions
+    `z = x @ w + b` (then `np.maximum(z, 0)`) with `g @ wᵀ`,
+    `_unbroadcast(xᵀ @ g)` and `_unbroadcast(g)` for x, w and b, where `g` is
+    first masked with `out > 0` (equal to `z > 0`) under `relu`."""
+    if x.data.ndim < 1 or w.data.ndim < 2 or x.data.shape[-1] != w.data.shape[-2]:
+        raise ShapeError(
+            "linear: inner dimensions disagree for shapes "
+            f"{tuple(x.data.shape)} and {tuple(w.data.shape)}"
+        )
     out = x.data @ w.data
     out += b.data
     if relu:
@@ -269,12 +213,13 @@ def attention(q, k, v, scale, bias=None):
     heads; `bias` is a constant array that broadcasts to the scores.
 
     The scores are scaled, biased, shifted by their row maximum, exponentiated
-    and normalized inside the one `q @ kᵀ` buffer, and only those weights are
-    kept for the backward pass. The backward does the arithmetic of `matmul`,
-    `*`, `+` and a row softmax's backward in their order, with the score
-    gradient worked out in place in one buffer, so values and gradients equal
-    that composition's bit for bit. The row sums of `gs * w` are taken one
-    leading-axis slice at a time, so no second score-sized buffer is made.
+    and normalized inside the one `q @ kᵀ` buffer, and only those weights `p`
+    are kept for the backward pass. For upstream `g` the backward works the
+    score gradient `p * (g vᵀ - rowsum(g vᵀ * p)) * scale` out in place in one
+    buffer `gs` and gives `gs @ k`, `(qᵀ @ gs)ᵀ` and `pᵀ @ g`, so values and
+    gradients equal those NumPy expressions bit for bit. The row sums are
+    taken one leading-axis slice at a time, so no second score-sized buffer is
+    made.
     """
     w = q.data @ np.swapaxes(k.data, -1, -2)
     w *= scale

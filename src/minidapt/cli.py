@@ -331,12 +331,10 @@ COMPARE_COLUMNS = [("Precision", "precision"), ("Recall", "recall"),
 
 
 def compare_table(reports):
-    """rows: (name, {column: value}); bolds each column's maxima with **."""
-    rows = []
-    for name, rep in reports:
-        if rep.task != "classify":
-            raise CliError(f"{name}: not a classification report", code=1)
-        rows.append((name, {col: getattr(rep, attr) for col, attr in COMPARE_COLUMNS}))
+    """reports: (name, classify EvalReport) pairs; bolds each column's
+    maxima with **."""
+    rows = [(name, {col: getattr(rep, attr) for col, attr in COMPARE_COLUMNS})
+            for name, rep in reports]
     maxima = {col: max(r[1][col] for r in rows) for col, _ in COMPARE_COLUMNS}
     lines = ["Model," + ",".join(c for c, _ in COMPARE_COLUMNS)]
     text = ["Model      " + "  ".join(f"{c:>12}" for c, _ in COMPARE_COLUMNS)]
@@ -359,9 +357,17 @@ def cmd_compare(args):
     for path in args.reports:
         name = os.path.basename(os.path.dirname(path)) or os.path.basename(path)
         try:
-            reports.append((name, EvalReport.load(path)))
+            rep = EvalReport.load(path)
         except (TypeError, json.JSONDecodeError) as e:
             raise CliError(f"{path}: schema mismatch ({e})", code=1)
+        if rep.task != "classify":
+            raise CliError(f"{path}: not a classification report", code=1)
+        for _, attr in COMPARE_COLUMNS:
+            value = getattr(rep, attr)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise CliError(f"{path}: schema mismatch ({attr} is {value!r}, "
+                               "not a number)", code=1)
+        reports.append((name, rep))
     text, csv_text = compare_table(reports)
     out = _out_dir(args)
     with open(os.path.join(out, "comparison.csv"), "w", encoding="utf-8") as f:

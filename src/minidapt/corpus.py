@@ -47,6 +47,9 @@ def _parse_label(raw, lineno):
     if raw is None or raw == "":
         return None
     try:
+        # an int or its digits: a JSON 0.7 or true is no label, not 0 or 1
+        if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+            raise TypeError
         label = int(raw)
     except (TypeError, ValueError):
         raise ValueError(f"line {lineno}: label {raw!r} is not an integer")
@@ -76,8 +79,12 @@ def load_documents(path, format):
                     obj = json.loads(line)
                 except json.JSONDecodeError as e:
                     raise ValueError(f"line {lineno}: malformed JSON ({e})")
+                if not isinstance(obj, dict):
+                    raise ValueError(f"line {lineno}: expected a JSON object")
                 if not obj.get("text"):
                     raise ValueError(f"line {lineno}: missing text field")
+                if not isinstance(obj["text"], str):
+                    raise ValueError(f"line {lineno}: text {obj['text']!r} is not a string")
                 docs.append(Document(text=obj["text"],
                                      label=_parse_label(obj.get("label"), lineno),
                                      category=obj.get("category")))

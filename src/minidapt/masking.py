@@ -19,6 +19,8 @@ class MaskingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if len(self.replacement_split) != 3:
+            raise ValueError("replacement_split needs three shares: mask, random, keep")
         if not 0.0 <= self.p_mask < 1.0:
             raise ValueError("p_mask must be in [0, 1)")
         if not 0.0 <= self.p_wwm <= 1.0:

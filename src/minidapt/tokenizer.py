@@ -75,7 +75,10 @@ class Vocabulary:
     @classmethod
     def from_json(cls, text):
         obj = json.loads(text)
-        return cls(tokens=list(obj["tokens"]))
+        tokens = obj.get("tokens") if isinstance(obj, dict) else None
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise ValueError('vocabulary: expected a JSON object with a "tokens" list of strings')
+        return cls(tokens=tokens)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as f:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from minidapt.autodiff import (IGNORE_LABEL, BatchNormState, Parameter, ShapeError, Tensor, _tape,
-                               attention, batch_norm, bce_with_logits, dropout,
+                               _unbroadcast, attention, batch_norm, bce_with_logits, dropout,
                                embedding, grad_check, layer_norm, linear,
                                masked_cross_entropy, no_grad, residual, stable_sigmoid)
 from minidapt.masking import MaskingConfig, collate
@@ -24,33 +24,9 @@ def softmax_rows(x):
     return attention(x, eye, eye, 1.0)
 
 
-def reference_softmax(x):
-    """The unfused softmax node the fused op must match: NumPy forward with
-    max-subtraction, and the Jacobian-vector product as its backward."""
-    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
-    s = e / e.sum(axis=-1, keepdims=True)
-    return x._child(s, (x,),
-                    lambda g: x._accum(s * (g - (g * s).sum(axis=-1, keepdims=True))))
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = Tensor(np.eye(2))
-        b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert_allclose((a @ b).data, [[1, 2], [3, 4]])
-
-    def test_zero(self):
-        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert_allclose((a @ Tensor(np.zeros((2, 2)))).data, np.zeros((2, 2)))
-
-    def test_hand_product(self):
-        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-        assert_allclose((a @ b).data, [[19, 22], [43, 50]])
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 2)))
+def dot(t, c):
+    """The scalar sum(t * c) for a constant array `c`, as a node of its own."""
+    return t._child(float((t.data * c).sum()), (t,), lambda g: t._accum(g * c))
 
 
 class TestSoftmaxRows:
@@ -154,33 +130,24 @@ class TestBatchNorm:
 
 
 class TestBackward:
-    def test_sum_gives_ones(self):
-        w = Parameter("w", np.random.default_rng(1).normal(size=(3, 4)))
-        w.sum().backward()
-        assert_allclose(w.grad, np.ones((3, 4)))
-
-    def test_half_norm_squared_gives_w(self):
-        w = Parameter("w", np.random.default_rng(2).normal(size=(5,)))
-        ((w * w).sum() * 0.5).backward()
-        assert_allclose(w.grad, w.data, atol=1e-12)
-
     def test_non_scalar_loss_errors(self):
         w = Parameter("w", np.ones((2, 2)))
         with pytest.raises(ShapeError):
-            (w * 2.0).backward()
+            (w + w).backward()
 
     def test_frozen_parameter_keeps_zero_grad(self):
         w = Parameter("w", np.ones(3), trainable=False)
         u = Parameter("u", np.ones(3))
-        ((w * u).sum()).backward()
+        dot(w + u, np.array([1.0, 2.0, 3.0])).backward()
         assert_allclose(w.grad, np.zeros(3))
-        assert_allclose(u.grad, np.ones(3))
+        assert_allclose(u.grad, [1.0, 2.0, 3.0])
 
     def test_reused_node_accumulates(self):
+        # `w` feeds `h` twice and a `dot` once, and `h` feeds one `+` twice
         w = Parameter("w", np.array([2.0]))
-        y = w * w + w * 3.0
-        y.sum().backward()
-        assert_allclose(w.grad, [2 * 2.0 + 3.0])
+        h = w + w
+        (dot(h + h, np.array([1.5])) + dot(w, np.array([3.0]))).backward()
+        assert_allclose(w.grad, [4 * 1.5 + 3.0])
 
     def test_add_parents_get_their_own_gradients(self):
         # `+` hands one gradient array to both parents; `a` gets it first and
@@ -189,21 +156,22 @@ class TestBackward:
         b = Tensor(np.ones(3), requires_grad=True)
         c = np.array([1.0, 2.0, 3.0])
         d = np.array([10.0, 20.0, 30.0])
-        ((a * d).sum() + ((a + b) * c).sum()).backward()
+        (dot(a, d) + dot(a + b, c)).backward()
         assert a.grad is not b.grad
         assert_allclose(a.grad, c + d)
         assert_allclose(b.grad, c)
 
     def test_repeated_index_adds(self):
         w = Parameter("w", np.ones(3))
-        w[np.array([0, 0, 1])].sum().backward()
+        dot(w[np.array([0, 0, 1])], np.ones(3)).backward()
         assert_allclose(w.grad, [2.0, 1.0, 0.0])
 
     def test_zero_grads_keeps_each_grad_array(self, small_vocab):
         model = tiny_model(small_vocab)
         before = {n: p.grad for n, p in model.params.items()}
         ids = np.random.default_rng(0).integers(5, small_vocab.size, size=(2, 6))
-        model.mlm_logits(model.encode_forward(ids)).sum().backward()
+        logits = model.mlm_logits(model.encode_forward(ids))
+        dot(logits, np.ones(logits.shape)).backward()
         assert any(np.any(p.grad != 0) for p in model.params.values())
         model.zero_grads()
         for n, p in model.params.items():
@@ -214,21 +182,32 @@ class TestGradCheck:
     def test_linear_is_near_exact(self):
         w = Parameter("w", np.random.default_rng(3).normal(size=(4,)))
         c = np.array([1.0, -2.0, 0.5, 3.0])
-        err = grad_check(lambda: (w * c).sum(), [w], fd_step=1e-5)
+        err = grad_check(lambda: dot(w, c), [w], fd_step=1e-5)
         assert err < 1e-9
 
     def test_quadratic(self):
         w = Parameter("w", np.random.default_rng(4).normal(size=(4,)))
-        err = grad_check(lambda: (w * w).sum(), [w], fd_step=1e-5)
+
+        def square_sum():  # sum(w * w), whose gradient is w + w
+            return w._child(float((w.data * w.data).sum()), (w,),
+                            lambda g: w._accum(g * (w.data + w.data)))
+
+        err = grad_check(square_sum, [w], fd_step=1e-5)
         assert err < 1e-7
 
     def test_nonfinite_objective_errors(self):
         w = Parameter("w", np.array([1.0]))
         with pytest.raises(ValueError):
-            grad_check(lambda: Tensor(np.nan) * w.sum(), [w])
+            grad_check(lambda: dot(w, np.array([np.nan])), [w])
 
 
 class TestLinear:
+    def test_hand_product(self):
+        x = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        w = Tensor([[5.0, 6.0], [7.0, 8.0]])
+        b = Tensor([1.0, -1.0])
+        assert_allclose(linear(x, w, b).data, [[20, 21], [44, 49]])
+
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))), Tensor(np.ones(2)))
@@ -269,15 +248,41 @@ class TestNoGrad:
             with no_grad():
                 with no_grad():
                     pass
-                assert (w * 2.0)._prev == ()
+                assert (w + w)._prev == ()
                 raise RuntimeError("inside the block")
-        out = w * 2.0
+        out = w + w
         assert out._prev and out.requires_grad
 
 
+def reference_linear(x, w, b, relu, c):
+    """`linear`'s value and its x, w, b gradients for upstream `c`, in NumPy."""
+    z = x @ w + b
+    g = c
+    if relu:
+        g = g * (z > 0)
+        z = np.maximum(z, 0.0)
+    return z, [g @ w.T, _unbroadcast(np.swapaxes(x, -1, -2) @ g, w.shape),
+               _unbroadcast(g, b.shape)]
+
+
+def reference_attention(q, k, v, scale, bias, c):
+    """`attention`'s value and its q, k, v gradients for upstream `c`, in
+    NumPy: the scores, a max-shifted row softmax, and their VJP."""
+    s = (q @ np.swapaxes(k, -1, -2)) * scale
+    if bias is not None:
+        s = s + bias
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    gp = c @ np.swapaxes(v, -1, -2)
+    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+    return p @ v, [gs @ k, np.swapaxes(np.swapaxes(q, -1, -2) @ gs, -1, -2),
+                   np.swapaxes(p, -1, -2) @ c]
+
+
 class TestFusedMatchesUnfused:
-    """`linear` and `attention` give bit-for-bit the values and gradients of
-    the ops they replace, so fusing them moves no artifact."""
+    """`linear` and `attention` give bit for bit the values and gradients of
+    the NumPy expressions they fuse, and `residual` those of `x + dropout(a)`,
+    so fusing them moves no artifact."""
 
     rng = np.random.default_rng(7)
 
@@ -294,11 +299,10 @@ class TestFusedMatchesUnfused:
         b = Parameter("b", self.rng.normal(size=(5,)))
         c = self.rng.normal(size=x.shape[:-1] + (5,))
         fused = linear(x, w, b)
-        unfused = x @ w + b
-        assert np.array_equal(fused.data, unfused.data)
-        assert all(np.array_equal(f, u) for f, u in zip(
-            self._grads((fused * c).sum(), [x, w, b]),
-            self._grads((unfused * c).sum(), [x, w, b])))
+        value, grads = reference_linear(x.data, w.data, b.data, False, c)
+        assert np.array_equal(fused.data, value)
+        assert all(np.array_equal(f, r) for f, r in zip(
+            self._grads(dot(fused, c), [x, w, b]), grads))
 
     @pytest.mark.parametrize("ndim", [2, 3])
     def test_linear_relu(self, ndim):
@@ -307,12 +311,11 @@ class TestFusedMatchesUnfused:
         b = Parameter("b", self.rng.normal(size=(5,)))
         c = self.rng.normal(size=x.shape[:-1] + (5,))
         fused = linear(x, w, b, relu=True)
-        unfused = (x @ w + b).relu()
+        value, grads = reference_linear(x.data, w.data, b.data, True, c)
         assert np.any(fused.data == 0) and np.any(fused.data > 0)
-        assert np.array_equal(fused.data, unfused.data)
-        assert all(np.array_equal(f, u) for f, u in zip(
-            self._grads((fused * c).sum(), [x, w, b]),
-            self._grads((unfused * c).sum(), [x, w, b])))
+        assert np.array_equal(fused.data, value)
+        assert all(np.array_equal(f, r) for f, r in zip(
+            self._grads(dot(fused, c), [x, w, b]), grads))
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_residual(self, mode):
@@ -323,8 +326,8 @@ class TestFusedMatchesUnfused:
         unfused = x + dropout(a, 0.3, np.random.default_rng(5), mode)
         assert np.array_equal(fused.data, unfused.data)
         assert all(np.array_equal(f, u) for f, u in zip(
-            self._grads((fused * c).sum(), [x, a]),
-            self._grads((unfused * c).sum(), [x, a])))
+            self._grads(dot(fused, c), [x, a]),
+            self._grads(dot(unfused, c), [x, a])))
 
     @pytest.mark.parametrize("padded", [False, True])
     def test_attention(self, padded):
@@ -337,20 +340,12 @@ class TestFusedMatchesUnfused:
             bias = bias[:, None, None, :]
         scale = 1.0 / np.sqrt(hd)
         c = self.rng.normal(size=(B, H, T, hd))
-
-        def heads():
-            return [t.transpose(0, 2, 1, 3) for t in qkv]
-
-        q, k, v = heads()
+        q, k, v = [t.transpose(0, 2, 1, 3) for t in qkv]
         fused = attention(q, k, v, scale, bias)
-        q, k, v = heads()
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-        if padded:
-            scores = scores + bias
-        unfused = reference_softmax(scores) @ v
-        assert np.array_equal(fused.data, unfused.data)
-        assert all(np.array_equal(f, u) for f, u in zip(
-            self._grads((fused * c).sum(), qkv), self._grads((unfused * c).sum(), qkv)))
+        value, grads = reference_attention(q.data, k.data, v.data, scale, bias, c)
+        assert np.array_equal(fused.data, value)
+        assert all(np.array_equal(f, r.transpose(0, 2, 1, 3)) for f, r in zip(
+            self._grads(dot(fused, c), qkv), grads))
 
 
 FD_TOL = 1e-4
@@ -360,32 +355,23 @@ class TestPrimitiveGradients:
     """Every differentiable primitive against central differences at a
     generic point (the invariant tolerance is 1e-4 at step 1e-5)."""
 
+    # the checks draw their points from one stream in file order; the skipped
+    # draws keep each check at the point its recorded worst error comes from
     rng = np.random.default_rng(42)
-
-    def test_matmul(self):
-        a = Parameter("a", self.rng.normal(size=(3, 4)))
-        b = Parameter("b", self.rng.normal(size=(4, 5)))
-        c = Tensor(self.rng.normal(size=(3, 5)))
-        assert grad_check(lambda: ((a @ b) * c).sum(), [a, b]) < FD_TOL
-
-    def test_batched_matmul(self):
-        a = Parameter("a", self.rng.normal(size=(2, 3, 4, 5)))
-        b = Parameter("b", self.rng.normal(size=(2, 3, 5, 6)))
-        c = Tensor(self.rng.normal(size=(2, 3, 4, 6)))
-        assert grad_check(lambda: ((a @ b) * c).sum(), [a, b]) < FD_TOL
+    rng.normal(size=491)
 
     def test_softmax(self):
         x = Parameter("x", self.rng.normal(size=(3, 5)))
-        c = Tensor(self.rng.normal(size=(3, 5)))
-        assert grad_check(lambda: (softmax_rows(x) * c).sum(), [x]) < FD_TOL
+        c = self.rng.normal(size=(3, 5))
+        assert grad_check(lambda: dot(softmax_rows(x), c), [x]) < FD_TOL
 
     @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)])
     def test_linear(self, shape):
         x = Parameter("x", self.rng.normal(size=shape))
         w = Parameter("w", self.rng.normal(size=(4, 5)))
         b = Parameter("b", self.rng.normal(size=(5,)))
-        c = Tensor(self.rng.normal(size=shape[:-1] + (5,)))
-        assert grad_check(lambda: (linear(x, w, b) * c).sum(), [x, w, b]) < FD_TOL
+        c = self.rng.normal(size=shape[:-1] + (5,))
+        assert grad_check(lambda: dot(linear(x, w, b), c), [x, w, b]) < FD_TOL
 
     def test_attention(self):
         q = Parameter("q", self.rng.normal(size=(2, 3, 4, 5)))
@@ -394,68 +380,64 @@ class TestPrimitiveGradients:
         # the second row's last two keys are padding
         bias = np.zeros((2, 1, 1, 6))
         bias[1, ..., 4:] = ATTN_MASK_BIAS
-        c = Tensor(self.rng.normal(size=(2, 3, 4, 7)))
-        assert grad_check(lambda: (attention(q, k, v, 0.37, bias) * c).sum(),
+        c = self.rng.normal(size=(2, 3, 4, 7))
+        assert grad_check(lambda: dot(attention(q, k, v, 0.37, bias), c),
                           [q, k, v]) < FD_TOL
 
     def test_layer_norm(self):
         x = Parameter("x", self.rng.normal(size=(3, 4)))
         g = Parameter("g", self.rng.normal(size=(4,)))
         b = Parameter("b", self.rng.normal(size=(4,)))
-        c = Tensor(self.rng.normal(size=(3, 4)))
-        assert grad_check(lambda: (layer_norm(x, g, b) * c).sum(), [x, g, b]) < FD_TOL
+        c = self.rng.normal(size=(3, 4))
+        assert grad_check(lambda: dot(layer_norm(x, g, b), c), [x, g, b]) < FD_TOL
 
     def test_batch_norm_train(self):
         x = Parameter("x", self.rng.normal(size=(6, 4)))
         g = Parameter("g", self.rng.normal(size=(4,)))
         b = Parameter("b", self.rng.normal(size=(4,)))
-        c = Tensor(self.rng.normal(size=(6, 4)))
+        c = self.rng.normal(size=(6, 4))
         state = BatchNormState(4)
-        assert grad_check(lambda: (batch_norm(x, g, b, state, "train") * c).sum(),
+        assert grad_check(lambda: dot(batch_norm(x, g, b, state, "train"), c),
                           [x, g, b]) < FD_TOL
 
     def test_batch_norm_eval(self):
         x = Parameter("x", self.rng.normal(size=(6, 4)))
         g = Parameter("g", self.rng.normal(size=(4,)))
         b = Parameter("b", self.rng.normal(size=(4,)))
-        c = Tensor(self.rng.normal(size=(6, 4)))
+        c = self.rng.normal(size=(6, 4))
         state = BatchNormState(4)
         state.running_mean[:] = self.rng.normal(size=4)
         state.running_var[:] = np.abs(self.rng.normal(size=4)) + 0.5
-        assert grad_check(lambda: (batch_norm(x, g, b, state, "eval") * c).sum(),
+        assert grad_check(lambda: dot(batch_norm(x, g, b, state, "eval"), c),
                           [x, g, b]) < FD_TOL
 
-    def test_relu(self):
-        x = Parameter("x", self.rng.normal(size=(4, 4)) + 0.01)
-        c = Tensor(self.rng.normal(size=(4, 4)))
-        assert grad_check(lambda: (x.relu() * c).sum(), [x]) < FD_TOL
-
     def test_linear_relu(self):
+        self.rng.normal(size=32)  # skipped draws, as above
         x = Parameter("x", self.rng.normal(size=(2, 3, 4)))
         w = Parameter("w", self.rng.normal(size=(4, 5)))
         b = Parameter("b", self.rng.normal(size=(5,)))
-        c = Tensor(self.rng.normal(size=(2, 3, 5)))
-        assert grad_check(lambda: (linear(x, w, b, relu=True) * c).sum(), [x, w, b]) < FD_TOL
+        c = self.rng.normal(size=(2, 3, 5))
+        assert grad_check(lambda: dot(linear(x, w, b, relu=True), c), [x, w, b]) < FD_TOL
 
     def test_residual(self):
         x = Parameter("x", self.rng.normal(size=(3, 4)))
         a = Parameter("a", self.rng.normal(size=(3, 4)))
-        c = Tensor(self.rng.normal(size=(3, 4)))
+        c = self.rng.normal(size=(3, 4))
         # a fresh rng per call, so every call drops the same entries
-        assert grad_check(lambda: (residual(x, a, 0.4, np.random.default_rng(3), "train")
-                                   * c).sum(), [x, a]) < FD_TOL
+        assert grad_check(lambda: dot(residual(x, a, 0.4, np.random.default_rng(3), "train"),
+                                      c), [x, a]) < FD_TOL
 
     def test_getitem_repeated_index(self):
         w = Parameter("w", self.rng.normal(size=(4, 3)))
-        c = Tensor(self.rng.normal(size=(5, 3)))
+        c = self.rng.normal(size=(5, 3))
         idx = np.array([2, 0, 2, 2, 1])
-        assert grad_check(lambda: (w[idx] * c).sum(), [w]) < FD_TOL
+        assert grad_check(lambda: dot(w[idx], c), [w]) < FD_TOL
 
     def test_embedding(self):
         table = Parameter("t", self.rng.normal(size=(9, 4)))
         ids = np.array([[0, 3, 3], [8, 1, 0]])
-        c = Tensor(self.rng.normal(size=(2, 3, 4)))
-        assert grad_check(lambda: (embedding(table, ids) * c).sum(), [table]) < FD_TOL
+        c = self.rng.normal(size=(2, 3, 4))
+        assert grad_check(lambda: dot(embedding(table, ids), c), [table]) < FD_TOL
 
     def test_masked_cross_entropy(self):
         x = Parameter("x", self.rng.normal(size=(2, 3, 6)))
@@ -473,16 +455,8 @@ class TestPrimitiveGradients:
         x = Parameter("x", self.rng.normal(size=(2, 3, 4, 5)))
         b = Parameter("b", self.rng.normal(size=(1, 5)))
         bias = self.rng.normal(size=(2, 1, 1, 5))
-        c = Tensor(self.rng.normal(size=(2, 3, 4, 5)))
-        assert grad_check(lambda: (softmax_rows(x + bias + b) * c).sum(), [x, b]) < FD_TOL
-
-    def test_mul_broadcast_constant(self):
-        # the attention scale: a constant scalar operand, plus a parameter
-        # that broadcasts too
-        x = Parameter("x", self.rng.normal(size=(2, 3, 4, 5)))
-        w = Parameter("w", self.rng.normal(size=(3, 1, 5)))
-        c = Tensor(self.rng.normal(size=(2, 3, 4, 5)))
-        assert grad_check(lambda: (softmax_rows(x * 0.125 * w) * c).sum(), [x, w]) < FD_TOL
+        c = self.rng.normal(size=(2, 3, 4, 5))
+        assert grad_check(lambda: dot(softmax_rows(x + Tensor(bias) + b), c), [x, b]) < FD_TOL
 
 
 class TestStability:

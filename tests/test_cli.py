@@ -207,6 +207,7 @@ class TestConfigSections:
         ("adapt", 'mlm_split=["a",1,0]', "'mlm_split'"),
         ("adapt", "masking.p_wwm=5", "p_wwm"),
         ("adapt", "masking.replacement_split=[1.5,-0.25,-0.25]", "replacement_split"),
+        ("adapt", "masking.replacement_split=[0.5,0.25,0.125,0.125]", "three shares"),
         ("adapt", "encoder.head_hidden=[8]", "head_hidden"),
         ("baseline", 'baseline.epochs="x"', "'baseline.epochs'"),
         ("baseline", 'baseline.lambda_grid=["a"]', "'baseline.lambda_grid'"),
@@ -418,6 +419,31 @@ class TestManifestKeys:
         assert_same_files(tmp_path / "plain", tmp_path / "set")
 
 
+class TestMalformedInputs:
+    @pytest.mark.parametrize("command", ["vocab", "adapt", "finetune", "baseline"])
+    def test_non_object_record_exits_2(self, ws, tmp_path, capsys, command):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"text": "doc one", "label": 0}\n[1, 2]\n')
+        argv = {"vocab": ["--corpus", bad],
+                "adapt": ["--vocab", ws["vocab_path"], "--corpus", bad],
+                "finetune": ["--vocab", ws["vocab_path"], "--dataset", bad,
+                             "--base", "vanilla"],
+                "baseline": ["--dataset", bad]}[command]
+        code = run(command, *argv, "--seed", 7, "--out", tmp_path / "out", *TINY)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "line 2: expected a JSON object" in err
+
+    def test_malformed_vocabulary_exits_2(self, ws, tmp_path, capsys):
+        bad = tmp_path / "vocab.json"
+        bad.write_text('{"toks": []}')
+        code = run("adapt", "--vocab", bad, "--corpus", ws["corpus_b"],
+                   "--seed", 7, "--out", tmp_path / "out", *TINY)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and '"tokens" list of strings' in err
+
+
 class TestBaselineCommand:
     def test_outputs_and_lambda(self, ws):
         m = read_manifest(ws["base"])
@@ -512,6 +538,22 @@ class TestCompareCommand:
         code = run("compare", os.path.join(ws["base"], "report.json"),
                    "--out", tmp_path)
         assert code == 2
+
+    @pytest.mark.parametrize("value", [None, "0.9", True])
+    def test_non_numeric_metric_exits_1(self, ws, tmp_path, capsys, value):
+        with open(os.path.join(ws["base"], "report.json"), encoding="utf-8") as f:
+            report = json.load(f)
+        if value is None:
+            del report["recall"]
+        else:
+            report["recall"] = value
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(report))
+        code = run("compare", os.path.join(ws["ft_vanilla"], "report.json"), bad,
+                   "--out", tmp_path / "cmp")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {bad}: schema mismatch (recall is ")
 
     def test_mlm_report_rejected(self, ws, tmp_path):
         code = run("compare",

@@ -56,6 +56,19 @@ class TestLoadDocuments:
         with pytest.raises(ValueError, match="line 2"):
             load_documents(p, "jsonl")
 
+    @pytest.mark.parametrize("record, message", [
+        ("[1, 2]", "expected a JSON object"),
+        ('"abc"', "expected a JSON object"),
+        ('{"text": 5}', "text 5 is not a string"),
+        ('{"text": "y", "label": 0.7}', "label 0.7 is not an integer"),
+        ('{"text": "y", "label": true}', "label True is not an integer"),
+    ])
+    def test_malformed_record_names_line(self, tmp_path, record, message):
+        p = tmp_path / "d.jsonl"
+        p.write_text('{"text": "x", "label": 1}\n' + record + "\n")
+        with pytest.raises(ValueError, match=f"line 2: {message}"):
+            load_documents(p, "jsonl")
+
     def test_rfc4180_quoting(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text('text,label,category\n"a, quoted ""word""",1,\n')

@@ -171,6 +171,11 @@ class TestMaskingConfig:
         with pytest.raises(ValueError, match=next(iter(kw))):
             MaskingConfig(**kw)
 
+    @pytest.mark.parametrize("split", [(0.5, 0.25, 0.125, 0.125), (0.5, 0.5)])
+    def test_needs_three_shares(self, split):
+        with pytest.raises(ValueError, match="three shares"):
+            MaskingConfig(replacement_split=split)
+
     def test_range_bounds(self):
         MaskingConfig(p_wwm=0.0)
         MaskingConfig(p_wwm=1.0, replacement_split=(1.0, 0.0, 0.0))

@@ -155,6 +155,13 @@ class TestVocabulary:
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+    @pytest.mark.parametrize("text", ['{"toks": []}', "[1]", '{"tokens": "abc"}',
+                                      '{"tokens": [1, 2]}'])
+    def test_malformed_file_rejected(self, text):
+        with pytest.raises(ValueError, match='a "tokens" list of strings'):
+            Vocabulary.from_json(text)
+
+
 class TestEncode:
     def test_empty_text(self):
         vocab = train_vocab(["ab"], 10)

@@ -77,36 +77,49 @@ class LsvmModel:
         return (self.decision(X) >= 0).astype(int)
 
 
+def _valid_lambda(lam):
+    return lam > 0 and math.isfinite(lam)
+
+
 def train_lsvm(X, y, lam, epochs, seed=0):
     """Pegasos: subgradient descent on hinge loss + (lam/2)||w||^2 with step
-    1/(lam*t), seeded example order. Labels in {0,1} mapped to +-1."""
+    1/(lam*t), seeded example order. Labels in {0,1} mapped to +-1.
+
+    The shrink by 1 - 1/t at every step telescopes, so the weights step t
+    reads are w = u / (lam*(t-1)), with u the signed sum of the rows that
+    violated the margin before it: a step costs one dot product, and a
+    violation adds or subtracts its row from u."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if set(np.unique(y)) != {0, 1}:
         raise ValueError("train_lsvm: need both classes present")
     s = np.where(y == 1, 1.0, -1.0)
-    if lam <= 0:
-        raise ValueError("train_lsvm: lambda must be positive")
+    if not _valid_lambda(lam):
+        raise ValueError("train_lsvm: lambda must be positive and finite")
+    if epochs < 1:
+        raise ValueError("train_lsvm: epochs must be at least 1")
     # rows as views, signs as Python floats and ndarray.dot (not the matmul
-    # gufunc) keep the per-example NumPy dispatches few; the arithmetic and
-    # its order are the textbook loop's
+    # gufunc) keep the per-example NumPy dispatches few
     rows = list(X)
     signs = s.tolist()
     rng = np.random.default_rng(seed)
-    w = np.zeros(X.shape[1])
+    u = np.zeros(X.shape[1])
     b = 0.0
     t = 0
     for _ in range(epochs):
         for i in rng.permutation(len(rows)).tolist():
-            t += 1
-            eta = 1.0 / (lam * t)
             si = signs[i]
-            margin = si * (rows[i].dot(w) + b)
-            w *= 1.0 - eta * lam
+            # w and b are zero before the first step
+            margin = si * (rows[i].dot(u) / (lam * t) + b) if t else 0.0
+            t += 1
             if margin < 1:
-                w += eta * si * rows[i]
-                b += eta * si
-    return LsvmModel(weights=w, bias=b, lam=lam, epochs_trained=epochs)
+                if si > 0:
+                    u += rows[i]
+                else:
+                    u -= rows[i]
+                b += si / (lam * t)
+    u /= lam * t
+    return LsvmModel(weights=u, bias=b, lam=lam, epochs_trained=epochs)
 
 
 def tune_lsvm(train, val, lambda_grid=DEFAULT_LAMBDA_GRID, epochs=DEFAULT_EPOCHS,
@@ -115,14 +128,17 @@ def tune_lsvm(train, val, lambda_grid=DEFAULT_LAMBDA_GRID, epochs=DEFAULT_EPOCHS
     (X_tr, y_tr), (X_va, y_va) = train, val
     if not len(lambda_grid):
         raise ValueError("tune_lsvm: empty grid")
+    bad = [lam for lam in lambda_grid if not _valid_lambda(lam)]
+    if bad:
+        raise ValueError(f"tune_lsvm: lambda must be positive and finite, got {bad[0]}")
     best = None
     for k, lam in enumerate(lambda_grid):
         model = train_lsvm(X_tr, y_tr, lam, epochs, seed=[seed, k])
         probs = (model.decision(X_va) >= 0).astype(float)
         f1 = classification_report(probs, np.asarray(y_va).astype(int)).f1
-        if best is None or f1 >= best[0]:
-            best = (f1, model, lam)
-    return best[1], best[2]
+        if best is None or (f1, lam) >= best[:2]:
+            best = (f1, lam, model)
+    return best[2], best[1]
 
 
 def save_baseline(tfidf, lsvm, path):

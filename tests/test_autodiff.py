@@ -353,109 +353,118 @@ FD_TOL = 1e-4
 
 class TestPrimitiveGradients:
     """Every differentiable primitive against central differences at a
-    generic point (the invariant tolerance is 1e-4 at step 1e-5)."""
-
-    # the checks draw their points from one stream in file order; the skipped
-    # draws keep each check at the point its recorded worst error comes from
-    rng = np.random.default_rng(42)
-    rng.normal(size=491)
+    generic point (the invariant tolerance is 1e-4 at step 1e-5). Each check
+    draws its point from its own generator, so it sees the same point when
+    run alone."""
 
     def test_softmax(self):
-        x = Parameter("x", self.rng.normal(size=(3, 5)))
-        c = self.rng.normal(size=(3, 5))
+        rng = np.random.default_rng([42, 1])
+        x = Parameter("x", rng.normal(size=(3, 5)))
+        c = rng.normal(size=(3, 5))
         assert grad_check(lambda: dot(softmax_rows(x), c), [x]) < FD_TOL
 
     @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)])
     def test_linear(self, shape):
-        x = Parameter("x", self.rng.normal(size=shape))
-        w = Parameter("w", self.rng.normal(size=(4, 5)))
-        b = Parameter("b", self.rng.normal(size=(5,)))
-        c = self.rng.normal(size=shape[:-1] + (5,))
+        rng = np.random.default_rng([42, 2])
+        x = Parameter("x", rng.normal(size=shape))
+        w = Parameter("w", rng.normal(size=(4, 5)))
+        b = Parameter("b", rng.normal(size=(5,)))
+        c = rng.normal(size=shape[:-1] + (5,))
         assert grad_check(lambda: dot(linear(x, w, b), c), [x, w, b]) < FD_TOL
 
     def test_attention(self):
-        q = Parameter("q", self.rng.normal(size=(2, 3, 4, 5)))
-        k = Parameter("k", self.rng.normal(size=(2, 3, 6, 5)))
-        v = Parameter("v", self.rng.normal(size=(2, 3, 6, 7)))
+        rng = np.random.default_rng([42, 3])
+        q = Parameter("q", rng.normal(size=(2, 3, 4, 5)))
+        k = Parameter("k", rng.normal(size=(2, 3, 6, 5)))
+        v = Parameter("v", rng.normal(size=(2, 3, 6, 7)))
         # the second row's last two keys are padding
         bias = np.zeros((2, 1, 1, 6))
         bias[1, ..., 4:] = ATTN_MASK_BIAS
-        c = self.rng.normal(size=(2, 3, 4, 7))
+        c = rng.normal(size=(2, 3, 4, 7))
         assert grad_check(lambda: dot(attention(q, k, v, 0.37, bias), c),
                           [q, k, v]) < FD_TOL
 
     def test_layer_norm(self):
-        x = Parameter("x", self.rng.normal(size=(3, 4)))
-        g = Parameter("g", self.rng.normal(size=(4,)))
-        b = Parameter("b", self.rng.normal(size=(4,)))
-        c = self.rng.normal(size=(3, 4))
+        rng = np.random.default_rng([42, 4])
+        x = Parameter("x", rng.normal(size=(3, 4)))
+        g = Parameter("g", rng.normal(size=(4,)))
+        b = Parameter("b", rng.normal(size=(4,)))
+        c = rng.normal(size=(3, 4))
         assert grad_check(lambda: dot(layer_norm(x, g, b), c), [x, g, b]) < FD_TOL
 
     def test_batch_norm_train(self):
-        x = Parameter("x", self.rng.normal(size=(6, 4)))
-        g = Parameter("g", self.rng.normal(size=(4,)))
-        b = Parameter("b", self.rng.normal(size=(4,)))
-        c = self.rng.normal(size=(6, 4))
+        rng = np.random.default_rng([42, 5])
+        x = Parameter("x", rng.normal(size=(6, 4)))
+        g = Parameter("g", rng.normal(size=(4,)))
+        b = Parameter("b", rng.normal(size=(4,)))
+        c = rng.normal(size=(6, 4))
         state = BatchNormState(4)
         assert grad_check(lambda: dot(batch_norm(x, g, b, state, "train"), c),
                           [x, g, b]) < FD_TOL
 
     def test_batch_norm_eval(self):
-        x = Parameter("x", self.rng.normal(size=(6, 4)))
-        g = Parameter("g", self.rng.normal(size=(4,)))
-        b = Parameter("b", self.rng.normal(size=(4,)))
-        c = self.rng.normal(size=(6, 4))
+        rng = np.random.default_rng([42, 6])
+        x = Parameter("x", rng.normal(size=(6, 4)))
+        g = Parameter("g", rng.normal(size=(4,)))
+        b = Parameter("b", rng.normal(size=(4,)))
+        c = rng.normal(size=(6, 4))
         state = BatchNormState(4)
-        state.running_mean[:] = self.rng.normal(size=4)
-        state.running_var[:] = np.abs(self.rng.normal(size=4)) + 0.5
+        state.running_mean[:] = rng.normal(size=4)
+        state.running_var[:] = np.abs(rng.normal(size=4)) + 0.5
         assert grad_check(lambda: dot(batch_norm(x, g, b, state, "eval"), c),
                           [x, g, b]) < FD_TOL
 
     def test_linear_relu(self):
-        self.rng.normal(size=32)  # skipped draws, as above
-        x = Parameter("x", self.rng.normal(size=(2, 3, 4)))
-        w = Parameter("w", self.rng.normal(size=(4, 5)))
-        b = Parameter("b", self.rng.normal(size=(5,)))
-        c = self.rng.normal(size=(2, 3, 5))
+        rng = np.random.default_rng([42, 7])
+        x = Parameter("x", rng.normal(size=(2, 3, 4)))
+        w = Parameter("w", rng.normal(size=(4, 5)))
+        b = Parameter("b", rng.normal(size=(5,)))
+        c = rng.normal(size=(2, 3, 5))
         assert grad_check(lambda: dot(linear(x, w, b, relu=True), c), [x, w, b]) < FD_TOL
 
     def test_residual(self):
-        x = Parameter("x", self.rng.normal(size=(3, 4)))
-        a = Parameter("a", self.rng.normal(size=(3, 4)))
-        c = self.rng.normal(size=(3, 4))
+        rng = np.random.default_rng([42, 8])
+        x = Parameter("x", rng.normal(size=(3, 4)))
+        a = Parameter("a", rng.normal(size=(3, 4)))
+        c = rng.normal(size=(3, 4))
         # a fresh rng per call, so every call drops the same entries
         assert grad_check(lambda: dot(residual(x, a, 0.4, np.random.default_rng(3), "train"),
                                       c), [x, a]) < FD_TOL
 
     def test_getitem_repeated_index(self):
-        w = Parameter("w", self.rng.normal(size=(4, 3)))
-        c = self.rng.normal(size=(5, 3))
+        rng = np.random.default_rng([42, 9])
+        w = Parameter("w", rng.normal(size=(4, 3)))
+        c = rng.normal(size=(5, 3))
         idx = np.array([2, 0, 2, 2, 1])
         assert grad_check(lambda: dot(w[idx], c), [w]) < FD_TOL
 
     def test_embedding(self):
-        table = Parameter("t", self.rng.normal(size=(9, 4)))
+        rng = np.random.default_rng([42, 10])
+        table = Parameter("t", rng.normal(size=(9, 4)))
         ids = np.array([[0, 3, 3], [8, 1, 0]])
-        c = self.rng.normal(size=(2, 3, 4))
+        c = rng.normal(size=(2, 3, 4))
         assert grad_check(lambda: dot(embedding(table, ids), c), [table]) < FD_TOL
 
     def test_masked_cross_entropy(self):
-        x = Parameter("x", self.rng.normal(size=(2, 3, 6)))
+        rng = np.random.default_rng([42, 11])
+        x = Parameter("x", rng.normal(size=(2, 3, 6)))
         labels = np.array([[1, -100, 3], [2, 5, -100]])
         assert grad_check(lambda: masked_cross_entropy(x, labels), [x]) < FD_TOL
 
     def test_bce_with_logits(self):
-        z = Parameter("z", self.rng.normal(size=(5,)))
+        rng = np.random.default_rng([42, 12])
+        z = Parameter("z", rng.normal(size=(5,)))
         y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
         assert grad_check(lambda: bce_with_logits(z, y), [z]) < FD_TOL
 
     def test_add_broadcast_constant(self):
+        rng = np.random.default_rng([42, 13])
         # the attention pad bias: a constant [B,1,1,T] operand, plus a
         # parameter that broadcasts too
-        x = Parameter("x", self.rng.normal(size=(2, 3, 4, 5)))
-        b = Parameter("b", self.rng.normal(size=(1, 5)))
-        bias = self.rng.normal(size=(2, 1, 1, 5))
-        c = self.rng.normal(size=(2, 3, 4, 5))
+        x = Parameter("x", rng.normal(size=(2, 3, 4, 5)))
+        b = Parameter("b", rng.normal(size=(1, 5)))
+        bias = rng.normal(size=(2, 1, 1, 5))
+        c = rng.normal(size=(2, 3, 4, 5))
         assert grad_check(lambda: dot(softmax_rows(x + Tensor(bias) + b), c), [x, b]) < FD_TOL
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from minidapt import baseline
 from minidapt.baseline import (DEFAULT_LAMBDA_GRID, fit_tfidf, load_baseline,
                                save_baseline, train_lsvm, transform,
                                transform_all, tune_lsvm)
@@ -83,22 +84,58 @@ def reference_lsvm(X, y, lam, epochs, seed=0):
     return w, b
 
 
+def scaled_lsvm(X, y, lam, epochs, seed=0):
+    """The same loop with w kept as u / (lam*(t-1)), indexing per example."""
+    s = np.where(y == 1, 1.0, -1.0)
+    rng = np.random.default_rng(seed)
+    u = np.zeros(X.shape[1])
+    b = 0.0
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(len(X)):
+            margin = s[i] * (X[i] @ u / (lam * t) + b) if t > 0 else 0.0
+            t += 1
+            if margin < 1:
+                u += s[i] * X[i]
+                b += s[i] / (lam * t)
+    return u / (lam * t), b
+
+
+lsvm_cases = given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 30),
+                   st.sampled_from(DEFAULT_LAMBDA_GRID + (0.37,)), st.integers(1, 6))
+
+
+def lsvm_data(data_seed, n, d):
+    rng = np.random.default_rng(data_seed)
+    # sparse, L2-normalised rows like TF-IDF vectors
+    X = rng.random((n, d)) * (rng.random((n, d)) < 0.4)
+    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    X = np.divide(X, norms, out=X, where=norms > 0)
+    y = rng.integers(0, 2, size=n)
+    y[:2] = [0, 1]
+    return X, y
+
+
 class TestTrainLsvm:
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 30),
-           st.sampled_from(DEFAULT_LAMBDA_GRID + (0.37,)), st.integers(1, 6))
+    @lsvm_cases
     @settings(max_examples=100, deadline=None)
     def test_bit_identical_to_reference(self, data_seed, n, d, lam, epochs):
-        rng = np.random.default_rng(data_seed)
-        # sparse, L2-normalised rows like TF-IDF vectors
-        X = rng.random((n, d)) * (rng.random((n, d)) < 0.4)
-        norms = np.linalg.norm(X, axis=1, keepdims=True)
-        X = np.divide(X, norms, out=X, where=norms > 0)
-        y = rng.integers(0, 2, size=n)
-        y[:2] = [0, 1]
+        X, y = lsvm_data(data_seed, n, d)
         model = train_lsvm(X, y, lam, epochs, seed=[data_seed, 3])
-        w, b = reference_lsvm(X, y, lam, epochs, seed=[data_seed, 3])
+        w, b = scaled_lsvm(X, y, lam, epochs, seed=[data_seed, 3])
         assert model.weights.tobytes() == w.tobytes()
         assert repr(float(model.bias)) == repr(float(b))
+
+    @lsvm_cases
+    @settings(max_examples=100, deadline=None)
+    def test_matches_textbook_loop(self, data_seed, n, d, lam, epochs):
+        # the scaled form rounds the weights differently, but every margin
+        # decision agrees, so the bias is the same sum of +-1/(lam*t)
+        X, y = lsvm_data(data_seed, n, d)
+        model = train_lsvm(X, y, lam, epochs, seed=[data_seed, 3])
+        w, b = reference_lsvm(X, y, lam, epochs, seed=[data_seed, 3])
+        assert repr(float(model.bias)) == repr(float(b))
+        assert np.max(np.abs(model.weights - w)) <= 1e-12 / lam
 
     def test_separable_1d_sign(self):
         X = np.array([[-1.0], [1.0]])
@@ -142,6 +179,11 @@ class TestTrainLsvm:
         with pytest.raises(ValueError):
             train_lsvm(np.ones((3, 2)), np.ones(3, dtype=int), 0.1, 5)
 
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_no_epochs_errors(self, epochs):
+        with pytest.raises(ValueError, match="epochs"):
+            train_lsvm(np.eye(2), np.array([0, 1]), 0.1, epochs)
+
     def test_separable_training_accuracy_reaches_one(self):
         docs = separable_dataset(seed=5)
         model = fit_tfidf([d.text for d in docs])
@@ -170,6 +212,11 @@ class TestTuneLsvm:
         model, lam = tune_lsvm(train, val, (1e-4, 1e-3), epochs=60)
         assert lam == 1e-3
 
+    def test_tie_breaks_toward_larger_lambda_in_descending_grid(self):
+        train, val = self._data()
+        _, lam = tune_lsvm(train, val, (1e-3, 1e-4), epochs=60)
+        assert lam == 1e-3
+
     def test_separable_fixture_reaches_perfect_f1(self):
         train, val = self._data(seed=3)
         model, _ = tune_lsvm(train, val, DEFAULT_LAMBDA_GRID, epochs=60)
@@ -180,6 +227,15 @@ class TestTuneLsvm:
         train, val = self._data()
         with pytest.raises(ValueError):
             tune_lsvm(train, val, (), epochs=5)
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
+    def test_bad_lambda_errors_before_training(self, monkeypatch, bad):
+        train, val = self._data()
+        trained = []
+        monkeypatch.setattr(baseline, "train_lsvm", lambda *a, **k: trained.append(a))
+        with pytest.raises(ValueError, match="lambda"):
+            tune_lsvm(train, val, (0.1, bad), epochs=5)
+        assert trained == []
 
 
 class TestSerialization:

@@ -211,6 +211,7 @@ class TestConfigSections:
         ("adapt", "encoder.head_hidden=[8]", "head_hidden"),
         ("baseline", 'baseline.epochs="x"', "'baseline.epochs'"),
         ("baseline", 'baseline.lambda_grid=["a"]', "'baseline.lambda_grid'"),
+        ("baseline", "baseline.lambda_grid=[0.1,-1]", "lambda must be positive"),
         ("baseline", 'cls_split=["a",1,0]', "'cls_split'"),
         ("baseline", "baseline.epochs=-1", "baseline.epochs"),
     ])

@@ -18,6 +18,7 @@ import sys
 from minidapt.cli import main as cli
 
 QUICK = [
+    "--set", "vocab_target_size=200",
     "--set", "encoder.num_layers=1",
     "--set", "encoder.d_model=16",
     "--set", "encoder.num_heads=2",
@@ -42,8 +43,6 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--quick", action="store_true",
                     help="tiny model and short schedules for a fast smoke run")
-    ap.add_argument("--vocab-size", type=int, default=None,
-                    help="subword vocabulary target size")
     args = ap.parse_args()
 
     extra = list(QUICK) if args.quick else []
@@ -63,10 +62,8 @@ def main():
     corpus_b = os.path.join(d["fixtures"], "corpus_b.jsonl")
     dataset = os.path.join(d["fixtures"], "dataset.jsonl")
 
-    vocab_size = args.vocab_size or (200 if args.quick else None)
-    vocab_args = ["--set", f"vocab_target_size={vocab_size}"] if vocab_size else []
     run("vocab", "vocab", "--corpus", corpus_a, corpus_b, dataset,
-        *vocab_args, *seed, "--out", d["vocab"], *extra)
+        *seed, "--out", d["vocab"], *extra)
     vocab = os.path.join(d["vocab"], "vocab.json")
 
     run("adapt (domain B)", "adapt", "--vocab", vocab, "--corpus", corpus_b,

@@ -1,11 +1,11 @@
 """Dense float64 tensors with reverse-mode gradients.
 
 Everything downstream (encoder, heads, losses) is built from the ops here:
-`+`, `reshape`, `transpose` and indexing on `Tensor`, and one node each for
-`linear`, `attention`, `residual`, the norms, `embedding`, `dropout` and the
-losses. `linear`, `attention` and `residual` give bit for bit the values and
-gradients of the expressions their docstrings state. All arrays are 64-bit
-so finite-difference checks are meaningful.
+`+` and indexing on `Tensor` (an integer-array index gathers embedding rows),
+and one node each for `linear`, multi-head `attention`, `residual`, the
+norms, `dropout` and the losses. `linear`, `attention` and `residual` give
+bit for bit the values and gradients of the expressions their docstrings
+state. All arrays are 64-bit so finite-difference checks are meaningful.
 """
 
 from contextlib import contextmanager
@@ -83,9 +83,9 @@ class Tensor:
             return
         g = _unbroadcast(g, self.data.shape)
         if self.grad is None:
-            # a copy, never `g` itself: `+` hands one `g` to both parents and
-            # views hand on their input's; `empty_like` keeps the layout, and
-            # so the summation order, of `zeros_like`
+            # a copy, never `g` itself, which `+` hands to both parents;
+            # `empty_like` keeps the layout, and so the summation order, of
+            # `zeros_like`
             self.grad = np.empty_like(self.data)
             np.copyto(self.grad, g)
         else:
@@ -107,7 +107,7 @@ class Tensor:
         out._backward = backward
         return out
 
-    # ---- arithmetic ------------------------------------------------------
+    # ---- arithmetic and indexing -----------------------------------------
 
     def __add__(self, other):
         def _backward(g):
@@ -115,18 +115,6 @@ class Tensor:
             other._accum(g)
 
         return self._child(self.data + other.data, (self, other), _backward)
-
-    # ---- shape ops -------------------------------------------------------
-
-    def reshape(self, *shape):
-        orig = self.data.shape
-        return self._child(self.data.reshape(*shape), (self,),
-                           lambda g: self._accum(g.reshape(orig)))
-
-    def transpose(self, *axes):
-        inv = np.argsort(axes)
-        return self._child(self.data.transpose(axes), (self,),
-                           lambda g: self._accum(g.transpose(inv)))
 
     def __getitem__(self, idx):
         def _backward(g):
@@ -208,20 +196,29 @@ def linear(x, w, b, relu=False):
     return x._child(out, (x, w, b), _backward)
 
 
-def attention(q, k, v, scale, bias=None):
-    """softmax(q @ kᵀ * scale + bias) @ v as one node, over [..., T, hd]
-    heads; `bias` is a constant array that broadcasts to the scores.
+def attention(q, k, v, num_heads, bias=None):
+    """Multi-head attention as one node: q [..., T, d] and k, v [..., S, d]
+    are split into `num_heads` strided head views of width hd, each head gives
+    softmax(q kᵀ / √hd + bias) v, and the heads are joined to [..., T, d].
+    `bias` is a constant that broadcasts to the scores [..., heads, T, S].
 
-    The scores are scaled, biased, shifted by their row maximum, exponentiated
-    and normalized inside the one `q @ kᵀ` buffer, and only those weights `p`
-    are kept for the backward pass. For upstream `g` the backward works the
-    score gradient `p * (g vᵀ - rowsum(g vᵀ * p)) * scale` out in place in one
-    buffer `gs` and gives `gs @ k`, `(qᵀ @ gs)ᵀ` and `pᵀ @ g`, so values and
-    gradients equal those NumPy expressions bit for bit. The row sums are
-    taken one leading-axis slice at a time, so no second score-sized buffer is
-    made.
+    Only the weights `p`, formed in place in the one `q kᵀ` buffer, are kept.
+    With upstream `g` made contiguous per head, backward forms `gs = p * (g vᵀ
+    - rowsum(g vᵀ * p)) / √hd` in place (row sums one leading-axis slice at a
+    time) and joins `gs @ k`, `(qᵀ @ gs)ᵀ` and `pᵀ @ g` to contiguous
+    [..., T, d]: values and gradients equal those NumPy expressions bit for bit.
     """
-    w = q.data @ np.swapaxes(k.data, -1, -2)
+    hd = q.data.shape[-1] // num_heads
+    scale = 1.0 / np.sqrt(hd)
+
+    def split(a):
+        return np.swapaxes(a.reshape(a.shape[:-1] + (num_heads, hd)), -2, -3)
+
+    def join(a):
+        return np.swapaxes(a, -2, -3).reshape(a.shape[:-3] + (a.shape[-2], num_heads * hd))
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    w = qh @ np.swapaxes(kh, -1, -2)
     w *= scale
     if bias is not None:
         w += bias
@@ -230,9 +227,10 @@ def attention(q, k, v, scale, bias=None):
     w /= w.sum(axis=-1, keepdims=True)
 
     def _backward(g):
+        g = np.ascontiguousarray(split(g))
         if v.requires_grad:
-            v._accum(np.swapaxes(w, -1, -2) @ g)
-        gs = g @ np.swapaxes(v.data, -1, -2)
+            v._accum(join(np.swapaxes(w, -1, -2) @ g))
+        gs = g @ np.swapaxes(vh, -1, -2)
         prod = np.empty_like(gs[0])
         rows = np.empty(gs.shape[:-1] + (1,))
         for i in range(len(gs)):
@@ -242,11 +240,11 @@ def attention(q, k, v, scale, bias=None):
         gs *= w
         gs *= scale
         if q.requires_grad:
-            q._accum(gs @ k.data)
+            q._accum(join(gs @ kh))
         if k.requires_grad:
-            k._accum(np.swapaxes(np.swapaxes(q.data, -1, -2) @ gs, -1, -2))
+            k._accum(join(np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)))
 
-    return q._child(w @ v.data, (q, k, v), _backward)
+    return q._child(join(w @ vh), (q, k, v), _backward)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -315,18 +313,6 @@ def batch_norm(x, gamma, beta, state, mode, momentum=0.1, eps=1e-5):
             x._accum(gx * inv)
 
     return x._child(xhat * gamma.data + beta.data, (x, gamma, beta), _backward)
-
-
-def embedding(table, ids):
-    """Row lookup: table [V, d] indexed by an integer ndarray of any shape."""
-    ids = np.asarray(ids)
-
-    def _backward(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
-        table._accum(full)
-
-    return table._child(table.data[ids], (table,), _backward)
 
 
 def _keep_mask(shape, rate, rng):

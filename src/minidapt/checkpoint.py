@@ -74,7 +74,14 @@ class Checkpoint:
             if len(header) < 8:
                 raise ValueError(f"{path}: file ends inside the header")
             (mlen,) = struct.unpack("<Q", header)
-            manifest = json.loads(f.read(mlen).decode("utf-8"))
+            raw = f.read(mlen)
+            if len(raw) < mlen:
+                raise ValueError(f"{path}: file ends inside the manifest "
+                                 f"({len(raw)} of {mlen} bytes)")
+            try:
+                manifest = json.loads(raw.decode("utf-8"))
+            except ValueError as e:
+                raise ValueError(f"{path}: manifest is not UTF-8 JSON ({e})") from None
             payload = f.read()
         if not isinstance(manifest, dict) or set(manifest) != {"config", "entries", "provenance"}:
             raise ValueError(f"{path}: manifest needs the keys config, entries and provenance")

@@ -91,7 +91,10 @@ def resolve_config(args):
     cfg = copy.deepcopy(DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as f:
-            loaded = json.load(f)
+            try:
+                loaded = json.load(f)
+            except ValueError as e:
+                raise CliError(f"{args.config}: not UTF-8 JSON ({e})") from None
         if not isinstance(loaded, dict):
             raise CliError(f"{args.config}: expected a JSON object")
         _merge(cfg, loaded)
@@ -358,7 +361,7 @@ def cmd_compare(args):
         name = os.path.basename(os.path.dirname(path)) or os.path.basename(path)
         try:
             rep = EvalReport.load(path)
-        except (TypeError, json.JSONDecodeError) as e:
+        except (TypeError, ValueError) as e:  # ValueError: not UTF-8 or not JSON
             raise CliError(f"{path}: schema mismatch ({e})", code=1)
         if rep.task != "classify":
             raise CliError(f"{path}: not a classification report", code=1)

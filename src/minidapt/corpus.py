@@ -43,7 +43,7 @@ class Chunk:
     word_begin: list
 
 
-def _parse_label(raw, lineno):
+def _parse_label(raw):
     if raw is None or raw == "":
         return None
     try:
@@ -52,44 +52,54 @@ def _parse_label(raw, lineno):
             raise TypeError
         label = int(raw)
     except (TypeError, ValueError):
-        raise ValueError(f"line {lineno}: label {raw!r} is not an integer")
-    if label not in (0, 1):
-        raise ValueError(f"line {lineno}: label must be 0 or 1, got {label}")
-    return label
+        raise ValueError(f"label {raw!r} is not an integer")
+    return label  # Document checks that it is 0 or 1
+
+
+def _document(record):
+    """A Document from a CSV row or a parsed JSON line; an empty category is
+    none, as a CSV cell cannot tell the two apart."""
+    if not isinstance(record, dict):
+        raise ValueError("expected a JSON object")
+    if not record.get("text"):
+        raise ValueError("missing text field")
+    if not isinstance(record["text"], str):
+        raise ValueError(f"text {record['text']!r} is not a string")
+    return Document(text=record["text"], label=_parse_label(record.get("label")),
+                    category=record.get("category") or None)
+
+
+def _json_record(line):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"malformed JSON ({e})")
 
 
 def load_documents(path, format):
-    """Read documents from CSV (header text,label,category) or JSON lines."""
-    docs = []
-    if format == "csv":
-        with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.DictReader(f)
-            for lineno, row in enumerate(reader, start=2):
-                if row.get("text") in (None, ""):
-                    raise ValueError(f"line {lineno}: missing text field")
-                docs.append(Document(text=row["text"],
-                                     label=_parse_label(row.get("label"), lineno),
-                                     category=row.get("category") or None))
-    elif format == "jsonl":
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise ValueError(f"line {lineno}: malformed JSON ({e})")
-                if not isinstance(obj, dict):
-                    raise ValueError(f"line {lineno}: expected a JSON object")
-                if not obj.get("text"):
-                    raise ValueError(f"line {lineno}: missing text field")
-                if not isinstance(obj["text"], str):
-                    raise ValueError(f"line {lineno}: text {obj['text']!r} is not a string")
-                docs.append(Document(text=obj["text"],
-                                     label=_parse_label(obj.get("label"), lineno),
-                                     category=obj.get("category")))
-    else:
+    """Read documents from CSV (header text,label,category) or JSON lines.
+    A malformed record raises a ValueError that names the path and its line."""
+    if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {format!r}")
+    docs = []
+    with open(path, newline="" if format == "csv" else None, encoding="utf-8") as f:
+        try:
+            if format == "csv":
+                reader = csv.DictReader(f)
+                for row in reader:
+                    try:
+                        docs.append(_document(row))
+                    except ValueError as e:  # line_num: the record's last line
+                        raise ValueError(f"{path}: line {reader.line_num}: {e}") from None
+            else:
+                for lineno, line in enumerate(f, start=1):
+                    if line.strip():
+                        try:
+                            docs.append(_document(_json_record(line)))
+                        except ValueError as e:
+                            raise ValueError(f"{path}: line {lineno}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 ({e})") from None
     return docs
 
 

@@ -37,6 +37,8 @@ class EvalReport:
     @classmethod
     def from_json(cls, text):
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise TypeError("a report is a JSON object")
         d.pop("perplexity_nats_base", None)  # older reports; equals perplexity
         return cls(**d)
 

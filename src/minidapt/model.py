@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (BatchNormState, Parameter, attention, batch_norm, dropout,
-                       embedding, layer_norm, linear, residual)
+from .autodiff import (BatchNormState, Parameter, attention, batch_norm, dropout, layer_norm,
+                       linear, residual)
 
 ATTN_MASK_BIAS = -1e9  # additive bias for PAD keys; finite stand-in for -inf
 
@@ -145,7 +145,7 @@ class TransformerModel:
         if np.any(ids < 0) or np.any(ids >= cfg.vocab_size):
             raise ValueError("token id out of range")
         P = self.params
-        x = embedding(P["embed.tok"], ids) + P["embed.pos"][:T]
+        x = P["embed.tok"][ids] + P["embed.pos"][:T]
         if pad_mask is None:
             bias = None
         else:
@@ -154,27 +154,16 @@ class TransformerModel:
         for i in range(cfg.num_layers):
             p = f"layer{i}"
             h = layer_norm(x, P[f"{p}.ln1.gamma"], P[f"{p}.ln1.beta"])
-            x = residual(x, self._attention(h, p, bias), cfg.dropout_rate, rng, mode)
+            q, k, v = (linear(h, P[f"{p}.attn.{n}"], P[f"{p}.attn.{n}_b"])
+                       for n in ("wq", "wk", "wv"))
+            a = linear(attention(q, k, v, cfg.num_heads, bias),
+                       P[f"{p}.attn.wo"], P[f"{p}.attn.wo_b"])
+            x = residual(x, a, cfg.dropout_rate, rng, mode)
             h = layer_norm(x, P[f"{p}.ln2.gamma"], P[f"{p}.ln2.beta"])
             ff = linear(h, P[f"{p}.ffn.w1"], P[f"{p}.ffn.b1"], relu=True)
             ff = linear(ff, P[f"{p}.ffn.w2"], P[f"{p}.ffn.b2"])
             x = residual(x, ff, cfg.dropout_rate, rng, mode)
         return layer_norm(x, P["final_ln.gamma"], P["final_ln.beta"])
-
-    def _attention(self, h, prefix, bias):
-        cfg = self.config
-        P = self.params
-        B, T, d = h.shape
-        nh = cfg.num_heads
-        hd = d // nh
-
-        def heads(proj):
-            t = linear(h, P[f"{prefix}.attn.{proj}"], P[f"{prefix}.attn.{proj}_b"])
-            return t.reshape(B, T, nh, hd).transpose(0, 2, 1, 3)
-
-        ctx = attention(heads("wq"), heads("wk"), heads("wv"), 1.0 / np.sqrt(hd), bias)
-        ctx = ctx.transpose(0, 2, 1, 3).reshape(B, T, d)
-        return linear(ctx, P[f"{prefix}.attn.wo"], P[f"{prefix}.attn.wo_b"])
 
     def mlm_logits(self, hidden):
         return linear(hidden, self.params["mlm.w"], self.params["mlm.b"])
@@ -192,6 +181,4 @@ class TransformerModel:
         z = batch_norm(z, P["head.bn2.gamma"], P["head.bn2.beta"],
                        self.bn_states["head.bn2"], mode)
         z = dropout(z, self.config.head_dropout, rng, mode)
-        z = linear(z, P["head.out.w"], P["head.out.b"])
-        B = z.shape[0]
-        return z.reshape(B)
+        return linear(z, P["head.out.w"], P["head.out.b"])[:, 0]

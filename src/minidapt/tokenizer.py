@@ -86,8 +86,11 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as f:
-            return cls.from_json(f.read())
+        try:
+            with open(path, encoding="utf-8") as f:
+                return cls.from_json(f.read())
+        except ValueError as e:  # not UTF-8, not JSON or not a vocabulary
+            raise ValueError(f"{path}: {e}") from None
 
 
 @dataclass

@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 
 from minidapt.autodiff import (IGNORE_LABEL, BatchNormState, Parameter, ShapeError, Tensor, _tape,
                                _unbroadcast, attention, batch_norm, bce_with_logits, dropout,
-                               embedding, grad_check, layer_norm, linear,
-                               masked_cross_entropy, no_grad, residual, stable_sigmoid)
+                               grad_check, layer_norm, linear, masked_cross_entropy, no_grad,
+                               residual, stable_sigmoid)
 from minidapt.masking import MaskingConfig, collate
 from minidapt.model import ATTN_MASK_BIAS
 from minidapt.trainer import _mlm_batch_loss
@@ -18,10 +18,11 @@ from conftest import tiny_model
 
 
 def softmax_rows(x):
-    """Softmax over the last axis, read through `attention`: with k and v the
-    identity, the scores are x and the output is the weights."""
-    eye = Tensor(np.eye(x.shape[-1]))
-    return attention(x, eye, eye, 1.0)
+    """Softmax over the last axis, read through one-head `attention`: with k
+    √n times the identity and v the identity, the scores are x (to rounding,
+    since the node scales them by 1/√n) and the output is the weights."""
+    eye = np.eye(x.shape[-1])
+    return attention(x, Tensor(eye * np.sqrt(len(eye))), Tensor(eye), 1)
 
 
 def dot(t, c):
@@ -265,9 +266,22 @@ def reference_linear(x, w, b, relu, c):
                _unbroadcast(g, b.shape)]
 
 
-def reference_attention(q, k, v, scale, bias, c):
+def reference_attention(q, k, v, num_heads, bias, c):
     """`attention`'s value and its q, k, v gradients for upstream `c`, in
-    NumPy: the scores, a max-shifted row softmax, and their VJP."""
+    NumPy: [B, T, d] split into [B, heads, T, hd] views (`c` copied
+    contiguous), the scores, a max-shifted row softmax and their VJP, each
+    joined back to [B, T, d]."""
+    B, T, d = q.shape
+    hd = d // num_heads
+
+    def split(a):
+        return a.reshape(B, -1, num_heads, hd).transpose(0, 2, 1, 3)
+
+    def join(a):
+        return a.transpose(0, 2, 1, 3).reshape(B, -1, d)
+
+    q, k, v, c = split(q), split(k), split(v), np.ascontiguousarray(split(c))
+    scale = 1.0 / np.sqrt(hd)
     s = (q @ np.swapaxes(k, -1, -2)) * scale
     if bias is not None:
         s = s + bias
@@ -275,8 +289,8 @@ def reference_attention(q, k, v, scale, bias, c):
     p = e / e.sum(axis=-1, keepdims=True)
     gp = c @ np.swapaxes(v, -1, -2)
     gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
-    return p @ v, [gs @ k, np.swapaxes(np.swapaxes(q, -1, -2) @ gs, -1, -2),
-                   np.swapaxes(p, -1, -2) @ c]
+    return join(p @ v), [join(gs @ k), join(np.swapaxes(np.swapaxes(q, -1, -2) @ gs, -1, -2)),
+                         join(np.swapaxes(p, -1, -2) @ c)]
 
 
 class TestFusedMatchesUnfused:
@@ -331,21 +345,17 @@ class TestFusedMatchesUnfused:
 
     @pytest.mark.parametrize("padded", [False, True])
     def test_attention(self, padded):
-        # heads as the model makes them: [B,T,H,hd] transposed to [B,H,T,hd]
         B, T, H, hd = 2, 6, 3, 4
-        qkv = [Parameter(n, self.rng.normal(size=(B, T, H, hd))) for n in "qkv"]
+        qkv = [Parameter(n, self.rng.normal(size=(B, T, H * hd))) for n in "qkv"]
         bias = None
         if padded:
             bias = np.where(np.arange(T) < np.array([[T], [3]]), 0.0, ATTN_MASK_BIAS)
             bias = bias[:, None, None, :]
-        scale = 1.0 / np.sqrt(hd)
-        c = self.rng.normal(size=(B, H, T, hd))
-        q, k, v = [t.transpose(0, 2, 1, 3) for t in qkv]
-        fused = attention(q, k, v, scale, bias)
-        value, grads = reference_attention(q.data, k.data, v.data, scale, bias, c)
+        c = self.rng.normal(size=(B, T, H * hd))
+        fused = attention(*qkv, H, bias)
+        value, grads = reference_attention(*[t.data for t in qkv], H, bias, c)
         assert np.array_equal(fused.data, value)
-        assert all(np.array_equal(f, r.transpose(0, 2, 1, 3)) for f, r in zip(
-            self._grads(dot(fused, c), qkv), grads))
+        assert all(np.array_equal(f, r) for f, r in zip(self._grads(dot(fused, c), qkv), grads))
 
 
 FD_TOL = 1e-4
@@ -374,14 +384,15 @@ class TestPrimitiveGradients:
 
     def test_attention(self):
         rng = np.random.default_rng([42, 3])
-        q = Parameter("q", rng.normal(size=(2, 3, 4, 5)))
-        k = Parameter("k", rng.normal(size=(2, 3, 6, 5)))
-        v = Parameter("v", rng.normal(size=(2, 3, 6, 7)))
+        # 3 heads of width 2; 4 queries against 6 keys
+        q = Parameter("q", rng.normal(size=(2, 4, 6)))
+        k = Parameter("k", rng.normal(size=(2, 6, 6)))
+        v = Parameter("v", rng.normal(size=(2, 6, 6)))
         # the second row's last two keys are padding
         bias = np.zeros((2, 1, 1, 6))
         bias[1, ..., 4:] = ATTN_MASK_BIAS
-        c = rng.normal(size=(2, 3, 4, 7))
-        assert grad_check(lambda: dot(attention(q, k, v, 0.37, bias), c),
+        c = rng.normal(size=(2, 4, 6))
+        assert grad_check(lambda: dot(attention(q, k, v, 3, bias), c),
                           [q, k, v]) < FD_TOL
 
     def test_layer_norm(self):
@@ -441,9 +452,10 @@ class TestPrimitiveGradients:
     def test_embedding(self):
         rng = np.random.default_rng([42, 10])
         table = Parameter("t", rng.normal(size=(9, 4)))
+        # the encoder's token lookup: a [B, T] id array that repeats ids
         ids = np.array([[0, 3, 3], [8, 1, 0]])
         c = rng.normal(size=(2, 3, 4))
-        assert grad_check(lambda: dot(embedding(table, ids), c), [table]) < FD_TOL
+        assert grad_check(lambda: dot(table[ids], c), [table]) < FD_TOL
 
     def test_masked_cross_entropy(self):
         rng = np.random.default_rng([42, 11])
@@ -566,9 +578,10 @@ class TestGraphLifetime:
         batch = collate(small_chunks[:8], MaskingConfig(), small_vocab,
                         np.random.default_rng(0))
         loss, _ = _mlm_batch_loss(model, batch, "train", np.random.default_rng(1))
-        # 878,640 bytes; with separate dropout, `+` and ReLU nodes and float64
-        # dropout masks the same graph held 1,067,056
-        assert self._retained_bytes(loss) <= 878_640
+        # 845,744 bytes; with separate head split and join nodes the same graph
+        # held 878,640, and with separate dropout, `+` and ReLU nodes and
+        # float64 dropout masks as well 1,067,056
+        assert self._retained_bytes(loss) <= 845_744
 
     def test_eval_graph_dies_with_its_result(self, small_vocab, no_gc):
         model = tiny_model(small_vocab)

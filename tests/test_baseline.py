@@ -121,8 +121,23 @@ class TestTrainLsvm:
     @settings(max_examples=100, deadline=None)
     def test_bit_identical_to_reference(self, data_seed, n, d, lam, epochs):
         X, y = lsvm_data(data_seed, n, d)
-        model = train_lsvm(X, y, lam, epochs, seed=[data_seed, 3])
-        w, b = scaled_lsvm(X, y, lam, epochs, seed=[data_seed, 3])
+        self._assert_bit_identical(X, y, lam, epochs, [data_seed, 3])
+
+    # margins that land on 1 to rounding, found by a search over small
+    # inputs: the first case fails with `margin <= 1 - 1e-12` in place of
+    # `margin < 1`, the second with `* (1.0 / (lam * t))` in place of
+    # `/ (lam * t)` in the margin; the generated cases above catch neither
+    @pytest.mark.parametrize("X, y, lam, seed", [
+        ([[0], [2]], [0, 1], 0.3, 58),
+        ([[3, 2], [0, 0], [1, 1], [3, 3]], [0, 1, 0, 1], 1.0, 924),
+    ])
+    def test_bit_identical_to_reference_at_margin_one(self, X, y, lam, seed):
+        self._assert_bit_identical(np.array(X, dtype=float), np.array(y), lam, 3, seed)
+
+    @staticmethod
+    def _assert_bit_identical(X, y, lam, epochs, seed):
+        model = train_lsvm(X, y, lam, epochs, seed=seed)
+        w, b = scaled_lsvm(X, y, lam, epochs, seed=seed)
         assert model.weights.tobytes() == w.tobytes()
         assert repr(float(model.bias)) == repr(float(b))
 

@@ -1,12 +1,13 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
 import pytest
 
-from minidapt.checkpoint import Checkpoint
+from minidapt.checkpoint import MAGIC, Checkpoint
 from minidapt.cli import main
 from minidapt.metrics import EvalReport
 from minidapt.tokenizer import Vocabulary
@@ -196,6 +197,16 @@ class TestConfigSections:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("raw", [b'{"seed": ', b"\xff{}"])
+    def test_config_file_not_json_is_named(self, tmp_path, capsys, raw):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(raw)
+        code = run("fixtures", "generate", "--seed", 7, "--config", cfg_path,
+                   "--out", tmp_path / "out")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {cfg_path}: not UTF-8 JSON (")
 
     @pytest.mark.parametrize("command, item, key", [
         ("vocab", 'vocab_target_size="512"', "'vocab_target_size'"),
@@ -435,6 +446,18 @@ class TestMalformedInputs:
         assert code == 2
         assert err.startswith("error:") and "line 2: expected a JSON object" in err
 
+    @pytest.mark.parametrize("name, text, line", [
+        ("bad.jsonl", '{"text": "doc one", "label": 0}\n{"text": " \\t ", "label": 1}\n', 2),
+        ("bad.csv", 'text,label\n"doc one",0\n"  ",1\n', 3),
+    ])
+    def test_whitespace_text_names_file_and_line(self, tmp_path, capsys, name, text, line):
+        bad = tmp_path / name
+        bad.write_text(text)
+        code = run("baseline", "--dataset", bad, "--seed", 7, "--out", tmp_path / "out")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {bad}: line {line}: Document: empty text")
+
     def test_malformed_vocabulary_exits_2(self, ws, tmp_path, capsys):
         bad = tmp_path / "vocab.json"
         bad.write_text('{"toks": []}')
@@ -442,7 +465,20 @@ class TestMalformedInputs:
                    "--seed", 7, "--out", tmp_path / "out", *TINY)
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error:") and '"tokens" list of strings' in err
+        assert err.startswith(f"error: {bad}: ") and '"tokens" list of strings' in err
+
+    @pytest.mark.parametrize("raw, message", [
+        (b'{"tokens": [', "Expecting value"),
+        (b"\xff", "'utf-8' codec can't decode"),
+    ])
+    def test_unreadable_vocabulary_is_named(self, ws, tmp_path, capsys, raw, message):
+        bad = tmp_path / "vocab.json"
+        bad.write_bytes(raw)
+        code = run("adapt", "--vocab", bad, "--corpus", ws["corpus_b"],
+                   "--seed", 7, "--out", tmp_path / "out", *TINY)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {bad}: {message}")
 
 
 class TestBaselineCommand:
@@ -496,6 +532,23 @@ class TestEvaluateCommand:
         assert code == 2
         assert err.startswith("error:") and "file ends inside the header" in err
 
+
+    @pytest.mark.parametrize("declared, manifest, message", [
+        (None, b'{"config": }', "manifest is not UTF-8 JSON (Expecting value"),
+        (None, b'{"\xff": 1}', "manifest is not UTF-8 JSON ("),
+        (100, b'{"config": {}}', "file ends inside the manifest (14 of 100 bytes)"),
+    ])
+    def test_unreadable_manifest_exits_2(self, ws, tmp_path, capsys, declared, manifest,
+                                         message):
+        broken = tmp_path / "broken.ckpt"
+        size = len(manifest) if declared is None else declared
+        broken.write_bytes(MAGIC + struct.pack("<Q", size) + manifest)
+        code = run("evaluate", "--vocab", ws["vocab_path"], "--ckpt", broken,
+                   "--data", ws["corpus_b"], "--task", "mlm",
+                   "--seed", 7, "--out", tmp_path / "out", *TINY)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {broken}: {message}")
 
     @pytest.mark.parametrize("case", sorted(BAD_MANIFEST_VALUES))
     def test_wrong_manifest_value_exits_2(self, ws, tmp_path, capsys, case):
@@ -555,6 +608,23 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: {bad}: schema mismatch (recall is ")
+
+    @pytest.mark.parametrize("raw, message", [
+        (b'"classify"', "a report is a JSON object"),
+        (b"0.9", "a report is a JSON object"),
+        (b"null", "a report is a JSON object"),
+        (b'[{"task": "classify"}]', "a report is a JSON object"),
+        (b'{"task": "classify", "n": 3', "Expecting"),
+        (b'{"task": "\xff"}', "'utf-8' codec can't decode"),
+    ])
+    def test_unreadable_report_exits_1(self, ws, tmp_path, capsys, raw, message):
+        bad = tmp_path / "report.json"
+        bad.write_bytes(raw)
+        code = run("compare", os.path.join(ws["ft_vanilla"], "report.json"), bad,
+                   "--out", tmp_path / "cmp")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {bad}: schema mismatch ({message}")
 
     def test_mlm_report_rejected(self, ws, tmp_path):
         code = run("compare",

@@ -62,12 +62,34 @@ class TestLoadDocuments:
         ('{"text": 5}', "text 5 is not a string"),
         ('{"text": "y", "label": 0.7}', "label 0.7 is not an integer"),
         ('{"text": "y", "label": true}', "label True is not an integer"),
+        ('{"text": " \\t "}', "Document: empty text"),
+        ('{"text": "y", "label": "2"}', "Document: label must be 0 or 1, got 2"),
     ])
     def test_malformed_record_names_line(self, tmp_path, record, message):
         p = tmp_path / "d.jsonl"
         p.write_text('{"text": "x", "label": 1}\n' + record + "\n")
-        with pytest.raises(ValueError, match=f"line 2: {message}"):
+        with pytest.raises(ValueError) as e:
             load_documents(p, "jsonl")
+        assert str(e.value) == f"{p}: line 2: {message}"
+
+    @pytest.mark.parametrize("text, line", [
+        ('text,label\nx,0\n" \t",1\n', 3),
+        ('text,label\n"x\ny",0\n" \t",1\n', 4),  # a field spans lines 2-3
+    ])
+    def test_csv_record_names_path_and_its_line(self, tmp_path, text, line):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as e:
+            load_documents(p, "csv")
+        assert str(e.value) == f"{p}: line {line}: Document: empty text"
+
+    @pytest.mark.parametrize("format", ["jsonl", "csv"])
+    def test_not_utf8_names_path(self, tmp_path, format):
+        p = tmp_path / f"d.{format}"
+        p.write_bytes(b'{"text": "\xff"}\n' if format == "jsonl" else b"text\n\xff\n")
+        with pytest.raises(ValueError) as e:
+            load_documents(p, format)
+        assert str(e.value).startswith(f"{p}: not UTF-8 (")
 
     def test_rfc4180_quoting(self, tmp_path):
         p = tmp_path / "d.csv"

@@ -95,15 +95,21 @@ class TestEncodeForward:
 
     @staticmethod
     def _spy_weights(monkeypatch):
-        """Record each attention call's weights, read by calling the op again
-        with v set to the identity."""
+        """Record each attention call's weights [B, heads, T, T], worked out
+        in NumPy from the q and k it was given and its bias."""
         captured = []
         orig = model_mod.attention
 
-        def spy(q, k, v, scale, bias=None):
-            eye = Tensor(np.eye(k.shape[-2]))
-            captured.append(orig(q, k, eye, scale, bias).data)
-            return orig(q, k, v, scale, bias)
+        def spy(q, k, v, num_heads, bias=None):
+            B, T, d = q.shape
+            hd = d // num_heads
+            qh, kh = (t.data.reshape(B, T, num_heads, hd).transpose(0, 2, 1, 3) for t in (q, k))
+            s = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(hd)
+            if bias is not None:
+                s = s + bias
+            e = np.exp(s - s.max(axis=-1, keepdims=True))
+            captured.append(e / e.sum(axis=-1, keepdims=True))
+            return orig(q, k, v, num_heads, bias)
 
         monkeypatch.setattr(model_mod, "attention", spy)
         return captured

@@ -134,8 +134,7 @@ def tune_lsvm(train, val, lambda_grid=DEFAULT_LAMBDA_GRID, epochs=DEFAULT_EPOCHS
     best = None
     for k, lam in enumerate(lambda_grid):
         model = train_lsvm(X_tr, y_tr, lam, epochs, seed=[seed, k])
-        probs = (model.decision(X_va) >= 0).astype(float)
-        f1 = classification_report(probs, np.asarray(y_va).astype(int)).f1
+        f1 = classification_report(model.predict(X_va), y_va).f1
         if best is None or (f1, lam) >= best[:2]:
             best = (f1, lam, model)
     return best[2], best[1]

@@ -87,6 +87,9 @@ class Checkpoint:
             raise ValueError(f"{path}: manifest needs the keys config, entries and provenance")
         if not isinstance(manifest["config"], dict) or not isinstance(manifest["entries"], list):
             raise ValueError(f"{path}: manifest config must be an object and entries a list")
+        if not isinstance(manifest["provenance"], dict):
+            raise ValueError(f"{path}: manifest provenance must be an object, "
+                             f"got {manifest['provenance']!r}")
         odd = set(manifest["config"]) ^ {f.name for f in fields(EncoderConfig)}
         if odd:
             raise ValueError(f"{path}: config keys {sorted(odd)} missing or unknown")

@@ -20,7 +20,7 @@ from . import fixtures
 from .checkpoint import Checkpoint
 from .corpus import MLM_RATIOS, SplitSpec, chunk_stream, load_documents, split
 from .masking import MaskingConfig
-from .metrics import EvalReport
+from .metrics import EvalReport, classification_report
 from .model import EncoderConfig, TransformerModel
 from .tokenizer import DEFAULT_TARGET_SIZE, Vocabulary, encode, train_vocab
 from .trainer import (FinetuneConfig, MLMConfig, TrainConfig, adapt_mlm,
@@ -113,6 +113,8 @@ def resolve_config(args):
         cfg["seed"] = args.seed
     if cfg["seed"] is None:
         raise CliError("a seed is required: pass --seed or set it in the config")
+    if cfg["seed"] < 0:
+        raise CliError(f"seed must be a non-negative int, got {cfg['seed']}")
     return cfg
 
 
@@ -126,10 +128,9 @@ def _train_config(cfg, keys):
     """TrainConfig from the config keys the step reads, its manifest keys; a
     section it does not read keeps its default, so a bad value there is
     neither checked nor used."""
-    built = {name: _section(cls, cfg, name, **fixed)
-             for name, cls, fixed in [("mlm", MLMConfig, {}),
-                                      ("finetune", FinetuneConfig, {}),
-                                      ("masking", MaskingConfig, {"seed": cfg["seed"]})]
+    built = {name: _section(cls, cfg, name)
+             for name, cls in [("mlm", MLMConfig), ("finetune", FinetuneConfig),
+                               ("masking", MaskingConfig)]
              if name in keys}
     if "chunk_size" in keys:
         built["chunk_size"] = cfg["chunk_size"]
@@ -199,7 +200,7 @@ def cmd_vocab(args):
     docs = []
     for path in args.corpus:
         docs.extend(load_documents(path, _load_format(path)))
-    vocab = train_vocab([d.text for d in docs], cfg["vocab_target_size"], seed=cfg["seed"])
+    vocab = train_vocab([d.text for d in docs], cfg["vocab_target_size"])
     vocab_path = os.path.join(out, "vocab.json")
     vocab.save(vocab_path)
     ids = [i for d in docs for i in encode(vocab, d.text).ids]
@@ -218,6 +219,15 @@ def _fresh_checkpoint(cfg, vocab):
     return Checkpoint(TransformerModel(_encoder_config(cfg, vocab.size)))
 
 
+def _load_checkpoint(path, vocab, vocab_path):
+    """The checkpoint at path, which must be built for the vocabulary's size."""
+    ckpt = Checkpoint.load(path)
+    if ckpt.model.config.vocab_size != vocab.size:
+        raise CliError(f"{vocab_path} has {vocab.size} tokens but {path} was built for "
+                       f"{ckpt.model.config.vocab_size}")
+    return ckpt
+
+
 def cmd_adapt(args):
     cfg = resolve_config(args)
     out = _out_dir(args)
@@ -229,7 +239,7 @@ def cmd_adapt(args):
     chunk_parts = [chunk_stream(part, vocab, tc.chunk_size) for part in parts]
     inputs = {"vocab": args.vocab, "corpus": args.corpus}
     if args.init:
-        init = Checkpoint.load(args.init)
+        init = _load_checkpoint(args.init, vocab, args.vocab)
         inputs["init"] = args.init
     else:
         init = _fresh_checkpoint(cfg, vocab)
@@ -262,7 +272,7 @@ def cmd_finetune(args):
         base = _fresh_checkpoint(cfg, vocab)
         keys.append("encoder")
     else:
-        base = Checkpoint.load(args.base)
+        base = _load_checkpoint(args.base, vocab, args.vocab)
         inputs["base"] = args.base
     ckpt, curves = finetune_staged(base, (train_docs, val_docs, test_docs), tc, vocab)
     ckpt_path = os.path.join(out, "classifier.ckpt")
@@ -282,7 +292,7 @@ def cmd_evaluate(args):
     cfg = resolve_config(args)
     out = _out_dir(args)
     vocab = Vocabulary.load(args.vocab)
-    ckpt = Checkpoint.load(args.ckpt)
+    ckpt = _load_checkpoint(args.ckpt, vocab, args.vocab)
     docs = load_documents(args.data, _load_format(args.data))
     mlm = args.task == "mlm"
     keys = ["seed", "chunk_size", "mlm", "masking"] if mlm else ["seed", "finetune"]
@@ -317,8 +327,7 @@ def cmd_baseline(args):
     lsvm, lam = bl.tune_lsvm((X_tr, y(train_docs)), (X_va, y(val_docs)),
                              tuple(cfg["baseline"]["lambda_grid"]),
                              cfg["baseline"]["epochs"], seed=cfg["seed"])
-    from .metrics import classification_report
-    report = classification_report(lsvm.predict(X_te).astype(float), y(test_docs))
+    report = classification_report(lsvm.predict(X_te), y(test_docs))
     bl.save_baseline(tfidf, lsvm, os.path.join(out, "baseline.json"))
     report.save(os.path.join(out, "report.json"))
     _write_manifest(out, cfg, ["seed", "cls_split", "baseline"], {"dataset": args.dataset},

@@ -5,17 +5,9 @@ import json
 import math
 from dataclasses import dataclass, asdict
 
+import numpy as np
 
-@dataclass
-class ConfusionCounts:
-    tp: int = 0
-    fp: int = 0
-    tn: int = 0
-    fn: int = 0
-
-    @property
-    def n(self):
-        return self.tp + self.fp + self.tn + self.fn
+THRESHOLD = 0.5  # a probability at or above it predicts fake
 
 
 @dataclass
@@ -39,7 +31,6 @@ class EvalReport:
         d = json.loads(text)
         if not isinstance(d, dict):
             raise TypeError("a report is a JSON object")
-        d.pop("perplexity_nats_base", None)  # older reports; equals perplexity
         return cls(**d)
 
     def save(self, path):
@@ -59,26 +50,6 @@ def perplexity(mean_xent_bits):
     return 2.0 ** mean_xent_bits
 
 
-def confusion(preds, labels, threshold=0.5):
-    """Tally tp/fp/tn/fn; predicted fake iff probability >= threshold."""
-    if len(preds) != len(labels):
-        raise ValueError(f"length mismatch: {len(preds)} preds vs {len(labels)} labels")
-    if len(preds) == 0:
-        raise ValueError("confusion: empty input")
-    c = ConfusionCounts()
-    for p, y in zip(preds, labels):
-        pred = 1 if p >= threshold else 0
-        if pred == 1 and y == 1:
-            c.tp += 1
-        elif pred == 1 and y == 0:
-            c.fp += 1
-        elif pred == 0 and y == 0:
-            c.tn += 1
-        else:
-            c.fn += 1
-    return c
-
-
 def _prf(tp, fp, fn):
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
@@ -86,27 +57,29 @@ def _prf(tp, fp, fn):
     return precision, recall, f1
 
 
-def classification_metrics(c):
-    """Positive-class metrics plus macro-F1; zero denominators yield 0."""
-    if c.n < 1:
-        raise ValueError("classification_metrics: no examples")
-    precision, recall, f1 = _prf(c.tp, c.fp, c.fn)
-    _, _, f1_neg = _prf(c.tn, c.fn, c.fp)
-    return {
-        "accuracy": (c.tp + c.tn) / c.n,
-        "precision": precision,
-        "recall": recall,
-        "f1": f1,
-        "macro_f1": (f1 + f1_neg) / 2,
-    }
-
-
 def mlm_report(mean_xent_nats, n):
     h_bits = mean_xent_nats / math.log(2)
     return EvalReport(task="mlm", n=n, perplexity=perplexity(h_bits))
 
 
-def classification_report(preds, labels, threshold=0.5):
-    c = confusion(preds, labels, threshold)
-    m = classification_metrics(c)
-    return EvalReport(task="classify", n=c.n, threshold=threshold, **m)
+def classification_report(probs, labels):
+    """Positive-class precision, recall and F1, accuracy and macro-F1 of
+    probabilities against 0/1 labels; a probability >= THRESHOLD predicts
+    fake, and a zero denominator yields 0."""
+    probs, labels = np.asarray(probs), np.asarray(labels)
+    n = len(probs)
+    if n != len(labels):
+        raise ValueError(f"length mismatch: {n} preds vs {len(labels)} labels")
+    if n == 0:
+        raise ValueError("classification_report: empty input")
+    fake = labels == 1
+    if not (fake | (labels == 0)).all():
+        raise ValueError("classification_report: labels must be 0 or 1")
+    guess = probs >= THRESHOLD
+    tp = int((guess & fake).sum())
+    fp, fn = int(guess.sum()) - tp, int(fake.sum()) - tp
+    tn = n - tp - fp - fn
+    precision, recall, f1 = _prf(tp, fp, fn)
+    f1_neg = _prf(tn, fn, fp)[2]
+    return EvalReport(task="classify", n=n, accuracy=(tp + tn) / n, precision=precision,
+                      recall=recall, f1=f1, macro_f1=(f1 + f1_neg) / 2, threshold=THRESHOLD)

@@ -45,6 +45,8 @@ class EncoderConfig:
         if len(self.head_hidden) != 2 or any(
                 isinstance(n, bool) or not isinstance(n, int) or n <= 0 for n in self.head_hidden):
             raise ValueError(f"head_hidden must be two positive ints, got {self.head_hidden!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
 
     def to_dict(self):
         d = self.__dict__.copy()

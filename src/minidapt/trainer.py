@@ -215,7 +215,7 @@ def _cls_rows(model, ids, mask, batch_size):
 
 
 def _head_eval(model, rows, labels, batch_size):
-    """Eval-mode loss, accuracy, and probabilities of the head on CLS rows."""
+    """Eval-mode mean loss of the head on CLS rows and its classification report."""
     probs = np.empty(len(rows))
     total = 0.0
     with no_grad():
@@ -223,15 +223,7 @@ def _head_eval(model, rows, labels, batch_size):
             logits = model.classify_logits(Tensor(rows[idx][:, None]), mode="eval")
             total += float(bce_with_logits(logits, labels[idx]).data) * len(idx)
             probs[idx] = stable_sigmoid(logits.data)
-    preds = (probs >= 0.5).astype(int)
-    acc = float((preds == labels.astype(int)).mean())
-    return total / len(rows), acc, probs
-
-
-def _classifier_eval(ckpt, ids, mask, labels, batch_size):
-    """Eval-mode loss, accuracy, and probabilities over a dataset."""
-    rows = _cls_rows(ckpt.model, ids, mask, batch_size)
-    return _head_eval(ckpt.model, rows, labels, batch_size)
+    return total / len(rows), classification_report(probs, labels)
 
 
 def finetune_staged(base, dataset_splits, cfg, vocab):
@@ -272,7 +264,7 @@ def finetune_staged(base, dataset_splits, cfg, vocab):
         shuffle_rng = np.random.default_rng([cfg.seed, _FT_SHUFFLE, stage_idx])
         for epoch in range(1, epochs + 1):
             order = shuffle_rng.permutation(len(tr_ids))
-            total, correct = 0.0, 0
+            total, probs = 0.0, np.empty(len(tr_ids))
             for bidx, idx in enumerate(_batches(len(tr_ids), ft.batch_size,
                                                 merge_singleton=True)):
                 sel = order[idx]
@@ -290,12 +282,13 @@ def finetune_staged(base, dataset_splits, cfg, vocab):
                 loss.backward()
                 adam_step(params, adam, lr)
                 total += float(loss.data) * len(sel)
-                correct += int(((stable_sigmoid(logits.data) >= 0.5) == tr_labels[sel]).sum())
+                probs[sel] = stable_sigmoid(logits.data)
             if not frozen:
                 va_rows = _cls_rows(model, va_ids, va_mask, ft.batch_size)
-            val_loss, val_acc, _ = _head_eval(model, va_rows, va_labels, ft.batch_size)
+            val_loss, val_report = _head_eval(model, va_rows, va_labels, ft.batch_size)
             curves.append(CurvePoint(stage_name, epoch, total / len(tr_ids), val_loss,
-                                     correct / len(tr_ids), val_acc))
+                                     classification_report(probs, tr_labels).accuracy,
+                                     val_report.accuracy))
             if best is None or val_loss < best[0]:
                 snap = ckpt.copy()
                 snap.provenance = {"stage": stage_name, "epoch": epoch,
@@ -310,8 +303,7 @@ def finetune_staged(base, dataset_splits, cfg, vocab):
 
 
 def evaluate(ckpt, testset, task, cfg, vocab):
-    """EvalReport on held-out data: perplexity for mlm, threshold-0.5
-    classification metrics otherwise."""
+    """EvalReport on held-out data: perplexity for mlm, classification metrics otherwise."""
     if task == "mlm":
         if not testset:
             raise ValueError("evaluate: empty test set")
@@ -321,7 +313,6 @@ def evaluate(ckpt, testset, task, cfg, vocab):
         if not testset:
             raise ValueError("evaluate: empty test set")
         ids, mask, labels = encode_examples(testset, vocab, ckpt.model.config.max_len)
-        _, _, probs = _classifier_eval(ckpt, ids, mask, labels,
-                                       cfg.finetune.batch_size)
-        return classification_report(probs, labels.astype(int))
+        rows = _cls_rows(ckpt.model, ids, mask, cfg.finetune.batch_size)
+        return _head_eval(ckpt.model, rows, labels, cfg.finetune.batch_size)[1]
     raise ValueError(f"unknown task {task!r}")

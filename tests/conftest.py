@@ -93,4 +93,15 @@ BAD_MANIFEST_VALUES = {
     "head-short": (_config(head_hidden=[8]), "config: head_hidden must be two positive ints"),
     # a header written before the tied MLM head was removed
     "tie-mlm": (_config(tie_mlm=False), "config keys ['tie_mlm'] missing or unknown"),
+    # the seed of the random init that load fills in
+    "seed-str": (_config(seed="abc"), "config: seed must be a non-negative int, got 'abc'"),
+    "seed-float": (_config(seed=1.5), "config: seed must be a non-negative int, got 1.5"),
+    "seed-negative": (_config(seed=-1), "config: seed must be a non-negative int, got -1"),
+    "seed-bool": (_config(seed=True), "config: seed must be a non-negative int, got True"),
+    "provenance-int": (lambda m: m.update(provenance=5),
+                       "manifest provenance must be an object, got 5"),
+    "provenance-list": (lambda m: m.update(provenance=[1]),
+                        "manifest provenance must be an object, got [1]"),
+    "provenance-str": (lambda m: m.update(provenance="abc"),
+                       "manifest provenance must be an object, got 'abc'"),
 }

@@ -23,8 +23,7 @@ from minidapt.cli import main as cli_main
 from minidapt.corpus import Chunk, Document, chunk_stream
 from minidapt.fixtures import separable_dataset, two_domain_corpus
 from minidapt.masking import MaskingConfig, collate, word_groups
-from minidapt.metrics import (EvalReport, classification_metrics, confusion,
-                              perplexity)
+from minidapt.metrics import EvalReport, classification_report, perplexity
 from minidapt.model import EncoderConfig, TransformerModel
 from minidapt.tokenizer import SPECIALS, Vocabulary, encode
 from minidapt.trainer import (adapt_mlm, evaluate, finetune_staged,
@@ -332,7 +331,7 @@ def test_10_metrics_oracle():
             fp += yhat == 1 and y == 0
             tn += yhat == 0 and y == 0
             fn += yhat == 0 and y == 1
-        got = classification_metrics(confusion(preds, labels))
+        rep = classification_report(preds, labels)
         expect = {
             "accuracy": (tp + tn) / n,
             "precision": tp / (tp + fp) if tp + fp else 0.0,
@@ -340,7 +339,7 @@ def test_10_metrics_oracle():
         }
         pr, rc = expect["precision"], expect["recall"]
         expect["f1"] = 2 * pr * rc / (pr + rc) if pr + rc else 0.0
-        if any(got[k] != v for k, v in expect.items()):
+        if any(getattr(rep, k) != v for k, v in expect.items()):
             mismatches += 1
     report(10, "metrics oracle", mismatches == 0,
            f"{mismatches}/1000 fixtures disagreed")
@@ -364,7 +363,6 @@ def test_11_baseline_oracles():
     y_tr = np.array([d.label for d in docs[:48]])
     y_va = np.array([d.label for d in docs[48:]])
     lsvm, _ = bl.tune_lsvm((X_tr, y_tr), (X_va, y_va), epochs=60)
-    from minidapt.metrics import classification_report
     f1 = classification_report(lsvm.predict(X_va).astype(float), y_va).f1
     report(11, "baseline oracles", tfidf_ok and f1 == 1.0,
            f"tfidf hand values ok={tfidf_ok}, separable F1={f1}")

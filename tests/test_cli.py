@@ -248,6 +248,20 @@ class TestSeedHandling:
         assert run("fixtures", "generate", "--config", cfg_path,
                    "--out", tmp_path / "out") == 0
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["fixtures", "vocab", "baseline"])
+    def test_negative_seed_exits_2(self, ws, tmp_path, capsys, command, source):
+        argv = {"fixtures": ["fixtures", "generate"],
+                "vocab": ["vocab", "--corpus", ws["corpus_b"]],
+                "baseline": ["baseline", "--dataset", ws["dataset"]]}[command]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": -1}))
+        seed = ["--seed", -1] if source == "flag" else ["--config", cfg_path]
+        code = run(*argv, *seed, "--out", tmp_path / "out")
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative int, got -1\n"
+        assert not os.path.exists(tmp_path / "out")
+
 
 class TestAdaptCommand:
     def test_outputs_exist(self, ws):
@@ -344,6 +358,47 @@ class TestFinetuneCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "missing entry param/embed.pos" in err
+
+    @pytest.mark.parametrize("case", ["seed-str", "seed-negative", "provenance-int"])
+    def test_bad_header_value_in_base_exits_2(self, ws, tmp_path, capsys, case):
+        edit, message = BAD_MANIFEST_VALUES[case]
+        broken = tmp_path / "broken.ckpt"
+        shutil.copyfile(ws["adapted"], broken)
+        rewrite_manifest(broken, edit)
+        code = run("finetune", "--vocab", ws["vocab_path"], "--dataset", ws["dataset"],
+                   "--base", broken, "--seed", 7, "--out", tmp_path / "out", *TINY)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {broken}: ") and message in err
+
+
+@pytest.fixture(scope="module")
+def vocab_150(ws, tmp_path_factory):
+    out = tmp_path_factory.mktemp("vocab_150")
+    assert run("vocab", "--corpus", ws["corpus_b"], ws["dataset"],
+               "--set", "vocab_target_size=150", "--seed", 7, "--out", out) == 0
+    path = str(out / "vocab.json")
+    assert Vocabulary.load(path).size == 150
+    return path
+
+
+class TestVocabularyFitsCheckpoint:
+    """A checkpoint's embedding is built for one vocabulary size; a vocabulary
+    of another size is an error, not a run on the wrong rows."""
+
+    @pytest.mark.parametrize("command", ["adapt", "finetune", "evaluate"])
+    def test_vocabulary_of_another_size_exits_2(self, ws, vocab_150, tmp_path, capsys,
+                                                 command):
+        argv = {"adapt": ["adapt", "--corpus", ws["corpus_b"], "--init", ws["adapted"]],
+                "finetune": ["finetune", "--dataset", ws["dataset"], "--base", ws["adapted"]],
+                "evaluate": ["evaluate", "--task", "classify", "--data", ws["dataset"],
+                             "--ckpt", ws["adapted"]]}[command]
+        code = run(*argv, "--vocab", vocab_150, "--seed", 7, "--out", tmp_path / "out",
+                   *TINY)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {vocab_150} has 150 tokens but {ws['adapted']} was built for 200\n")
+        assert not os.path.exists(tmp_path / "out" / "report.json")
 
 
 @pytest.fixture(scope="class")

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from minidapt.metrics import (ConfusionCounts, EvalReport,
-                              classification_metrics, classification_report,
-                              confusion, mlm_report, perplexity)
+from minidapt.metrics import (THRESHOLD, EvalReport, classification_report, mlm_report,
+                              perplexity)
 
 
 def brute_force_tally(preds, labels, threshold=0.5):
@@ -52,23 +51,35 @@ class TestPerplexity:
             rep = mlm_report(nats, n=1)
             assert_allclose(rep.perplexity, v, rtol=1e-9)
 
-    def test_reads_reports_with_nats_base_key(self):
-        old = '{"n": 3, "perplexity": 2.5, "perplexity_nats_base": 2.5, "task": "mlm"}'
-        assert EvalReport.from_json(old) == EvalReport(task="mlm", n=3, perplexity=2.5)
+
+def from_counts(tp=0, fp=0, tn=0, fn=0):
+    """(probs, labels) with the given tally, probabilities at 0.9 and 0.1."""
+    probs = [0.9] * (tp + fp) + [0.1] * (tn + fn)
+    labels = [1] * tp + [0] * fp + [0] * tn + [1] * fn
+    return probs, labels
 
 
 class TestConfusion:
     def test_all_positive_correct(self):
-        c = confusion([1.0] * 5, [1] * 5)
-        assert (c.tp, c.fp, c.tn, c.fn) == (5, 0, 0, 0)
+        rep = classification_report([1.0] * 5, [1] * 5)
+        assert (rep.n, rep.precision, rep.recall, rep.accuracy) == (5, 1.0, 1.0, 1.0)
 
     def test_threshold_tie_predicts_fake(self):
-        c = confusion([0.5], [1])
-        assert c.tp == 1
+        assert THRESHOLD == 0.5
+        assert classification_report([0.5], [1]).recall == 1.0
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            confusion([0.5], [1, 0])
+        with pytest.raises(ValueError, match="length mismatch"):
+            classification_report([0.5], [1, 0])
+
+    def test_empty_input(self):
+        with pytest.raises(ValueError, match="empty input"):
+            classification_report([], [])
+
+    @pytest.mark.parametrize("labels", [[1, 2], [0, -1], [0.5, 1]])
+    def test_labels_outside_0_1_rejected(self, labels):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            classification_report([0.9, 0.1], labels)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -76,34 +87,35 @@ class TestConfusion:
         rng = np.random.default_rng(seed)
         preds = rng.random(200)
         labels = rng.integers(0, 2, size=200)
-        c = confusion(preds.tolist(), labels.tolist())
-        assert (c.tp, c.fp, c.tn, c.fn) == brute_force_tally(preds, labels)
-        assert c.n == 200
+        rep = classification_report(preds, labels)
+        tp, fp, tn, fn = brute_force_tally(preds, labels)
+        assert rep.n == 200 and rep.accuracy == (tp + tn) / 200
+        assert rep.precision == (tp / (tp + fp) if tp + fp else 0.0)
+        assert rep.recall == (tp / (tp + fn) if tp + fn else 0.0)
 
 
 class TestClassificationMetrics:
     def test_hand_case(self):
-        m = classification_metrics(ConfusionCounts(tp=2, fp=1, tn=6, fn=1))
-        assert_allclose(m["precision"], 2 / 3)
-        assert_allclose(m["recall"], 2 / 3)
-        assert_allclose(m["f1"], 2 / 3)
-        assert_allclose(m["accuracy"], 0.8)
+        rep = classification_report(*from_counts(tp=2, fp=1, tn=6, fn=1))
+        assert_allclose(rep.precision, 2 / 3)
+        assert_allclose(rep.recall, 2 / 3)
+        assert_allclose(rep.f1, 2 / 3)
+        assert_allclose(rep.accuracy, 0.8)
 
     def test_all_correct(self):
-        m = classification_metrics(ConfusionCounts(tp=4, tn=6))
-        assert m["accuracy"] == m["precision"] == m["recall"] == m["f1"] == 1.0
+        rep = classification_report(*from_counts(tp=4, tn=6))
+        assert rep.accuracy == rep.precision == rep.recall == rep.f1 == 1.0
 
     def test_zero_denominator_convention(self):
-        m = classification_metrics(ConfusionCounts(tn=10))
-        assert m["precision"] == 0.0 and m["recall"] == 0.0 and m["f1"] == 0.0
+        rep = classification_report(*from_counts(tn=10))
+        assert rep.precision == 0.0 and rep.recall == 0.0 and rep.f1 == 0.0
 
     def test_f1_between_precision_and_recall(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            c = ConfusionCounts(*rng.integers(1, 50, size=4))
-            m = classification_metrics(c)
-            assert min(m["precision"], m["recall"]) - 1e-12 <= m["f1"]
-            assert m["f1"] <= max(m["precision"], m["recall"]) + 1e-12
+            rep = classification_report(*from_counts(*rng.integers(1, 50, size=4)))
+            assert min(rep.precision, rep.recall) - 1e-12 <= rep.f1
+            assert rep.f1 <= max(rep.precision, rep.recall) + 1e-12
 
 
 class TestEvalReport:

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from minidapt.autodiff import (IGNORE_LABEL, bce_with_logits, masked_cross_entropy,
-                               stable_sigmoid)
+from minidapt.autodiff import (IGNORE_LABEL, Tensor, bce_with_logits,
+                               masked_cross_entropy, stable_sigmoid)
 from minidapt.checkpoint import Checkpoint
 from minidapt.corpus import Chunk
 from minidapt.fixtures import separable_dataset
 from minidapt.masking import collate
 from minidapt.model import TransformerModel
 from minidapt.trainer import (CurvePoint, FinetuneConfig, MLMConfig, _batches,
-                              _classifier_eval, _mlm_batch_loss, _trim, adapt_mlm,
+                              _cls_rows, _head_eval, _mlm_batch_loss, _trim, adapt_mlm,
                               effective_warmup, encode_examples, evaluate,
                               finetune_staged, mlm_validation_loss, write_curves)
 
@@ -239,10 +239,16 @@ class TestEvaluate:
         docs = separable_dataset(seed=3, n=12)
         import minidapt.trainer as trainer_mod
 
-        def fake_eval(ckpt, ids, mask, labels, batch_size):
-            return 0.0, 1.0, labels.copy()
+        # each CLS row holds its document's label, and the head's logit is
+        # +-10 from it, so every probability is on the label's side of 0.5
+        def label_rows(model, ids, mask, batch_size):
+            return np.array([[d.label] for d in docs], dtype=float)
 
-        monkeypatch.setattr(trainer_mod, "_classifier_eval", fake_eval)
+        def head(self, hidden, mode="eval", rng=None):
+            return Tensor(20.0 * (hidden.data[:, 0, 0] - 0.5))
+
+        monkeypatch.setattr(trainer_mod, "_cls_rows", label_rows)
+        monkeypatch.setattr(TransformerModel, "classify_logits", head)
         rep = evaluate(tiny_checkpoint, docs, "classify", tiny_train_config(),
                        small_vocab)
         assert rep.accuracy == rep.precision == rep.recall == rep.f1 == 1.0
@@ -425,7 +431,8 @@ class TestFrozenStageFeatures:
         assert out.provenance["stage"] == "frozen"
         ids, mask, labels = encode_examples(parts[1], small_vocab,
                                             out.model.config.max_len)
-        val_loss, _, _ = _classifier_eval(out, ids, mask, labels, cfg.finetune.batch_size)
+        rows = _cls_rows(out.model, ids, mask, cfg.finetune.batch_size)
+        val_loss, _ = _head_eval(out.model, rows, labels, cfg.finetune.batch_size)
         assert out.provenance["val_loss"] == val_loss
         assert val_loss in [p.val_loss for p in curves]
 

@@ -120,6 +120,8 @@ class Checkpoint:
                 raise ValueError(f"{path}: payload too short for entry {name}")
             arr[...] = np.frombuffer(payload, dtype="<f8", count=arr.size,
                                      offset=offset).reshape(arr.shape)
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{path}: entry {name} holds a non-finite value")
         if expected:
             raise ValueError(f"{path}: missing entry {min(expected)}")
         if end != len(payload):

@@ -139,6 +139,16 @@ class TransformerModel:
     def encode_forward(self, ids, pad_mask=None, mode="eval", rng=None):
         """ids: int ndarray [B, T]; pad_mask: bool [B, T], True at real tokens.
         Returns hidden Tensor [B, T, d]."""
+        return self._encode(ids, pad_mask, mode, rng, cls_only=False)
+
+    def encode_cls(self, ids, pad_mask=None, mode="eval", rng=None):
+        """The CLS slot's hidden state [B, 1, d], all the classifier head reads:
+        the last layer runs ln1, K and V at every position and the rest for
+        query 0 only, with the full path's dropout draws, so the result equals
+        `encode_forward(...)[:, :1]` up to summation order."""
+        return self._encode(ids, pad_mask, mode, rng, cls_only=True)
+
+    def _encode(self, ids, pad_mask, mode, rng, cls_only):
         cfg = self.config
         ids = np.asarray(ids)
         B, T = ids.shape
@@ -153,18 +163,22 @@ class TransformerModel:
         else:
             bias = np.where(np.asarray(pad_mask), 0.0, ATTN_MASK_BIAS)
             bias = bias[:, None, None, :]  # broadcast over heads and queries
+        draw = None  # the dropout draw's shape, when it is not the output's
         for i in range(cfg.num_layers):
             p = f"layer{i}"
             h = layer_norm(x, P[f"{p}.ln1.gamma"], P[f"{p}.ln1.beta"])
-            q, k, v = (linear(h, P[f"{p}.attn.{n}"], P[f"{p}.attn.{n}_b"])
-                       for n in ("wq", "wk", "wv"))
+            last = cls_only and i == cfg.num_layers - 1
+            q = linear(h[:, :1] if last else h, P[f"{p}.attn.wq"], P[f"{p}.attn.wq_b"])
+            k, v = (linear(h, P[f"{p}.attn.{n}"], P[f"{p}.attn.{n}_b"]) for n in ("wk", "wv"))
+            if last:
+                x, draw = x[:, :1], x.shape
             a = linear(attention(q, k, v, cfg.num_heads, bias),
                        P[f"{p}.attn.wo"], P[f"{p}.attn.wo_b"])
-            x = residual(x, a, cfg.dropout_rate, rng, mode)
+            x = residual(x, a, cfg.dropout_rate, rng, mode, draw)
             h = layer_norm(x, P[f"{p}.ln2.gamma"], P[f"{p}.ln2.beta"])
             ff = linear(h, P[f"{p}.ffn.w1"], P[f"{p}.ffn.b1"], relu=True)
             ff = linear(ff, P[f"{p}.ffn.w2"], P[f"{p}.ffn.b2"])
-            x = residual(x, ff, cfg.dropout_rate, rng, mode)
+            x = residual(x, ff, cfg.dropout_rate, rng, mode, draw)
         return layer_norm(x, P["final_ln.gamma"], P["final_ln.beta"])
 
     def mlm_logits(self, hidden):

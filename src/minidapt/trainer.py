@@ -210,7 +210,7 @@ def _cls_rows(model, ids, mask, batch_size):
     with no_grad():
         for idx in _batches(len(ids), batch_size):
             b_ids, b_mask = _trim(ids[idx], mask[idx])
-            rows[idx] = model.encode_forward(b_ids, pad_mask=b_mask, mode="eval").data[:, 0]
+            rows[idx] = model.encode_cls(b_ids, pad_mask=b_mask, mode="eval").data[:, 0]
     return rows
 
 
@@ -275,8 +275,8 @@ def finetune_staged(base, dataset_splits, cfg, vocab):
                     hidden = Tensor(tr_rows[sel][:, None])
                 else:
                     b_ids, b_mask = _trim(tr_ids[sel], tr_mask[sel])
-                    hidden = model.encode_forward(b_ids, pad_mask=b_mask,
-                                                  mode="train", rng=drop_rng)
+                    hidden = model.encode_cls(b_ids, pad_mask=b_mask,
+                                              mode="train", rng=drop_rng)
                 logits = model.classify_logits(hidden, mode="train", rng=drop_rng)
                 loss = bce_with_logits(logits, tr_labels[sel])
                 loss.backward()

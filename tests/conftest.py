@@ -26,6 +26,10 @@ def small_chunks(small_vocab):
     return chunk_stream(docs_b, small_vocab, 32)
 
 
+# the finite-difference checks' invariant tolerance, at grad_check's step 1e-5
+FD_TOL = 1e-4
+
+
 def tiny_model(vocab, seed=0, **kw):
     base = dict(vocab_size=vocab.size, num_layers=1, d_model=16, num_heads=2,
                 d_ff=32, max_len=64, dropout_rate=0.1, head_hidden=(8, 4),
@@ -62,6 +66,19 @@ def rewrite_manifest(path, edit):
     edit(manifest)
     mbytes = json.dumps(manifest).encode("utf-8")
     path.write_bytes(MAGIC + struct.pack("<Q", len(mbytes)) + mbytes + raw[16 + mlen:])
+
+
+def poison(src, dst, entry, value):
+    """Save the checkpoint at `src` to `dst` with every value of `entry`
+    ("param/<name>" or "bn/<layer>/mean|var") set to `value`."""
+    ckpt = Checkpoint.load(src)
+    kind, name = entry.split("/", 1)
+    if kind == "param":
+        ckpt.model.params[name].data[...] = value
+    else:
+        layer, stat = name.rsplit("/", 1)
+        getattr(ckpt.model.bn_states[layer], f"running_{stat}")[...] = value
+    ckpt.save(dst)
 
 
 def _first_entry(**values):

@@ -14,7 +14,7 @@ from minidapt.masking import MaskingConfig, collate
 from minidapt.model import ATTN_MASK_BIAS
 from minidapt.trainer import _mlm_batch_loss
 
-from conftest import tiny_model
+from conftest import FD_TOL, tiny_model
 
 
 def softmax_rows(x):
@@ -343,6 +343,25 @@ class TestFusedMatchesUnfused:
             self._grads(dot(fused, c), [x, a]),
             self._grads(dot(unfused, c), [x, a])))
 
+    def test_residual_corner_of_a_full_draw(self):
+        # its own generator, so the class stream's later draws stay put
+        point = np.random.default_rng([7, 1])
+        x = Parameter("x", point.normal(size=(2, 6, 4)))
+        a = Parameter("a", point.normal(size=(2, 6, 4)))
+        c = point.normal(size=(2, 1, 4))
+        results = []
+        for corner in (True, False):
+            rng = np.random.default_rng(5)
+            if corner:
+                out = residual(x[:, :1], a[:, :1], 0.3, rng, "train", draw=x.shape)
+            else:
+                out = residual(x, a, 0.3, rng, "train")[:, :1]
+            results.append((out.data, self._grads(dot(out, c), [x, a]), rng.random()))
+        (value, grads, after), (full_value, full_grads, full_after) = results
+        assert np.array_equal(value, full_value)
+        assert all(np.array_equal(g, f) for g, f in zip(grads, full_grads))
+        assert after == full_after  # the rng stream goes on where the full draw leaves it
+
     @pytest.mark.parametrize("padded", [False, True])
     def test_attention(self, padded):
         B, T, H, hd = 2, 6, 3, 4
@@ -356,9 +375,6 @@ class TestFusedMatchesUnfused:
         value, grads = reference_attention(*[t.data for t in qkv], H, bias, c)
         assert np.array_equal(fused.data, value)
         assert all(np.array_equal(f, r) for f, r in zip(self._grads(dot(fused, c), qkv), grads))
-
-
-FD_TOL = 1e-4
 
 
 class TestPrimitiveGradients:

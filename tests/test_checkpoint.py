@@ -3,7 +3,7 @@ import pytest
 
 from minidapt.checkpoint import Checkpoint
 
-from conftest import BAD_MANIFEST_VALUES, rewrite_manifest, tiny_model
+from conftest import BAD_MANIFEST_VALUES, poison, rewrite_manifest, tiny_model
 
 
 class TestCheckpointIO:
@@ -141,6 +141,13 @@ class TestStrictLoad:
     def test_missing_provenance_rejected(self, saved):
         rewrite_manifest(saved, lambda m: m.pop("provenance"))
         assert_rejected(saved, "manifest needs the keys config, entries and provenance")
+
+    @pytest.mark.parametrize("entry, value", [("param/head.out.b", np.nan),
+                                              ("param/embed.tok", np.inf),
+                                              ("bn/head.bn1/var", -np.inf)])
+    def test_non_finite_entry_rejected(self, saved, entry, value):
+        poison(saved, saved, entry, value)
+        assert_rejected(saved, f"entry {entry} holds a non-finite value")
 
     @pytest.mark.parametrize("case", sorted(BAD_MANIFEST_VALUES))
     def test_wrong_value_type_rejected(self, saved, case):

@@ -12,7 +12,7 @@ from minidapt.cli import main
 from minidapt.metrics import EvalReport
 from minidapt.tokenizer import Vocabulary
 
-from conftest import BAD_MANIFEST_VALUES, rewrite_manifest
+from conftest import BAD_MANIFEST_VALUES, poison, rewrite_manifest
 
 TINY = [
     "--set", "encoder.num_layers=1",
@@ -534,6 +534,22 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {bad}: {message}")
+
+    @pytest.mark.parametrize("command", ["evaluate", "finetune", "adapt"])
+    def test_non_finite_checkpoint_exits_2(self, ws, tmp_path, capsys, command):
+        # a NaN bias made every probability NaN, which evaluate scored as
+        # "real" and finetune trained on until adam_step failed
+        broken = tmp_path / "nan.ckpt"
+        poison(os.path.join(ws["ft_vanilla"], "classifier.ckpt"), broken,
+               "param/head.out.b", float("nan"))
+        argv = {"evaluate": ["--ckpt", broken, "--data", ws["dataset"], "--task", "classify"],
+                "finetune": ["--dataset", ws["dataset"], "--base", broken],
+                "adapt": ["--corpus", ws["corpus_b"], "--init", broken]}[command]
+        code = run(command, "--vocab", ws["vocab_path"], *argv,
+                   "--seed", 7, "--out", tmp_path / "out", *TINY)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {broken}: entry param/head.out.b holds a non-finite value\n"
 
 
 class TestBaselineCommand:

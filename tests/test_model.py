@@ -3,8 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import minidapt.model as model_mod
-from minidapt.autodiff import Tensor, stable_sigmoid
+from minidapt.autodiff import Tensor, bce_with_logits, grad_check, stable_sigmoid
 from minidapt.model import EncoderConfig, TransformerModel
+
+from conftest import FD_TOL
 
 
 def tiny_config(**kw):
@@ -142,6 +144,81 @@ class TestEncodeForward:
         a = m.encode_forward(ids, mode="eval").data
         b = m.encode_forward(ids, mode="eval").data
         assert np.array_equal(a, b)
+
+
+class TestEncodeCls:
+    """The classifier path runs only the CLS query through the last layer:
+    its hidden state, loss and gradients equal the full path's up to
+    summation order, and it leaves the dropout rng where the full path does."""
+
+    def _batch(self):
+        rng = np.random.default_rng(6)
+        ids = rng.integers(0, 20, size=(4, 9))
+        mask = np.ones((4, 9), dtype=bool)
+        mask[1, 6:] = mask[3, 3:] = False
+        return ids, mask, np.array([0.0, 1.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_matches_the_full_path(self, num_layers, mode):
+        m = TransformerModel(tiny_config(num_layers=num_layers, dropout_rate=0.1,
+                                         head_dropout=0.5))
+        ids, mask, labels = self._batch()
+        results = []
+        for encode in (m.encode_cls, m.encode_forward):
+            m.zero_grads()
+            rng = np.random.default_rng(3)
+            hidden = encode(ids, pad_mask=mask, mode=mode, rng=rng)
+            cls = hidden.data[:, :1].copy()
+            loss = bce_with_logits(m.classify_logits(hidden, mode, rng), labels)
+            loss.backward()
+            results.append((cls, float(loss.data), rng.random(),
+                            {n: p.grad.copy() for n, p in m.params.items()}))
+        (cls, loss, after, grads), (full_cls, full_loss, full_after, full_grads) = results
+        assert cls.shape == (4, 1, 8)
+        assert np.abs(cls - full_cls).max() <= 1e-12 * np.abs(full_cls).max()
+        assert abs(loss - full_loss) <= 1e-12 * abs(full_loss)
+        assert after == full_after
+        top = max(np.abs(g).max() for g in full_grads.values())
+        for name, g in full_grads.items():
+            # the key bias's exact gradient is 0 (softmax is shift invariant),
+            # so both paths hold rounding dust there, measured against the
+            # largest gradient
+            scale = top if name.endswith("attn.wk_b") else np.abs(g).max()
+            assert np.abs(grads[name] - g).max() <= 1e-12 * scale, name
+
+    def test_gradients_match_finite_differences(self):
+        m = TransformerModel(tiny_config(num_layers=2, vocab_size=7, d_model=4, d_ff=6,
+                                         max_len=6, dropout_rate=0.1))
+        rng = np.random.default_rng(8)
+        # a generic point, as the 0.02-std init leaves attention gradients
+        # near the finite-difference noise floor
+        for n in m.encoder_param_names():
+            p = m.params[n]
+            p.data = (1.0 if n.endswith("gamma") else 0.0) + rng.normal(
+                0.0, 0.1 if p.data.ndim == 1 else 0.3, size=p.data.shape)
+        ids = rng.integers(0, 7, size=(3, 5))
+        mask = np.ones((3, 5), dtype=bool)
+        mask[2, 3:] = False
+        c = rng.normal(size=(3, 1, 4))
+
+        def objective():
+            # a fresh rng per call, so every call drops the same entries
+            out = m.encode_cls(ids, pad_mask=mask, mode="train",
+                               rng=np.random.default_rng(2))
+            return out._child(float((out.data * c).sum()), (out,),
+                              lambda g: out._accum(g * c))
+
+        params = [m.params[n] for n in m.encoder_param_names()
+                  if not n.endswith("attn.wk_b")]
+        assert grad_check(objective, params) < FD_TOL
+
+    def test_checks_ids_as_the_full_path_does(self):
+        m = TransformerModel(tiny_config())
+        with pytest.raises(ValueError, match="exceeds max_len"):
+            m.encode_cls(np.zeros((1, 13), dtype=int))
+        with pytest.raises(ValueError, match="token id out of range"):
+            m.encode_cls(np.array([[1, 20]]))
 
 
 class TestMlmHead:

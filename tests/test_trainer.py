@@ -329,7 +329,8 @@ def _padded_batch(vocab):
 class TestComputeOnlyWhatIsRead:
     def test_classifier_forwards_run_at_longest_real_row(self, small_vocab,
                                                          tiny_checkpoint, monkeypatch):
-        calls = _spy(monkeypatch, "encode_forward")
+        calls = _spy(monkeypatch, "encode_cls")
+        full = _spy(monkeypatch, "encode_forward")
         parts = split_docs(separable_dataset(seed=1))
         cfg = tiny_train_config()
         out, _ = finetune_staged(tiny_checkpoint, parts, cfg, small_vocab)
@@ -338,6 +339,15 @@ class TestComputeOnlyWhatIsRead:
         assert widths == [kw["pad_mask"].sum(axis=1).max() for _, kw in calls]
         assert min(widths) < 64  # some batches are narrower than max_len
         assert {kw["mode"] for _, kw in calls} == {"train", "eval"}
+        assert full == []  # the classifier path reads the CLS slot only
+
+    def test_mlm_path_runs_every_position(self, small_vocab, small_chunks,
+                                          tiny_checkpoint, monkeypatch):
+        calls = _spy(monkeypatch, "encode_cls")
+        cfg = tiny_train_config()
+        out, _ = adapt_mlm(tiny_checkpoint, split_chunks(small_chunks), cfg, small_vocab)
+        evaluate(out, small_chunks[:4], "mlm", cfg, small_vocab)
+        assert calls == []
 
     def test_mlm_head_gets_exactly_the_labelled_rows(self, small_vocab, small_chunks,
                                                      tiny_checkpoint, monkeypatch):
@@ -412,7 +422,8 @@ class TestFrozenStageFeatures:
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_encoder_runs_once_per_batch_in_eval_mode(self, small_vocab, tiny_checkpoint,
                                                       monkeypatch, epochs):
-        calls = _spy(monkeypatch, "encode_forward")
+        calls = _spy(monkeypatch, "encode_cls")
+        full = _spy(monkeypatch, "encode_forward")
         parts = split_docs(separable_dataset(seed=1))
         cfg = tiny_train_config()
         cfg.finetune.stage1_epochs = epochs
@@ -421,6 +432,7 @@ class TestFrozenStageFeatures:
         bs = cfg.finetune.batch_size
         assert {kw["mode"] for _, kw in calls} == {"eval"}
         assert len(calls) == math.ceil(len(parts[0]) / bs) + math.ceil(len(parts[1]) / bs)
+        assert full == []
 
     def test_frozen_val_loss_equals_a_fresh_eval(self, small_vocab, tiny_checkpoint):
         parts = split_docs(separable_dataset(seed=1))

@@ -334,13 +334,17 @@ def dropout(x, rate, rng, mode):
 def residual(x, a, rate, rng, mode, draw=None):
     """x + dropout(a) as one node: the same draw from `rng` as `dropout`, and
     only the boolean keep-mask is kept, not the dropped-out `a`. Values and
-    gradients equal that composition's bit for bit. A larger `draw` shape
-    draws the mask at that shape and keeps the corner that fits `a`, so a
-    slice of a stream gets the full stream's mask bits and rng state."""
+    gradients equal that composition's bit for bit. A `draw` of (shape,
+    index) draws the mask at that larger shape and keeps its entries at
+    `index`, so a gather from a stream gets the full stream's mask bits and
+    rng state."""
     if mode != "train" or rate == 0.0:
         return x + a
-    keep = _keep_mask(draw or a.data.shape, rate, rng)
-    keep = np.ascontiguousarray(keep[tuple(map(slice, a.data.shape))])
+    if draw is None:
+        keep = _keep_mask(a.data.shape, rate, rng)
+    else:
+        shape, index = draw
+        keep = _keep_mask(shape, rate, rng)[index]
     out = keep / (1.0 - rate)
     out *= a.data
     out += x.data

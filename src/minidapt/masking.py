@@ -77,15 +77,19 @@ def select_positions(ids, word_begin, cfg, special_ids, rng):
     return sorted(selected), True
 
 
-def apply_replacement(ids, selected_positions, split, vocab, rng):
-    """80/10/10 rule per selected position: MASK / random non-special id / keep."""
+def non_special_ids(vocab):
+    """The ids a random replacement may take: every id but the specials."""
+    return [i for i in range(vocab.size) if i not in vocab.special_ids]
+
+
+def apply_replacement(ids, selected_positions, split, mask_id, non_special, rng):
+    """80/10/10 rule per selected position: MASK / random id from
+    `non_special` / keep."""
     out = list(ids)
-    special = vocab.special_ids
-    non_special = [i for i in range(vocab.size) if i not in special]
     for pos in selected_positions:
         u = rng.random()
         if u < split[0]:
-            out[pos] = vocab.mask_id
+            out[pos] = mask_id
         elif u < split[0] + split[1]:
             out[pos] = non_special[rng.integers(len(non_special))]
         # else: keep original id
@@ -102,11 +106,12 @@ def collate(chunks, cfg, vocab, rng):
     input_ids = []
     labels = []
     flags = []
+    non_special = non_special_ids(vocab)
     for chunk in chunks:
         selected, used_wwm = select_positions(chunk.ids, chunk.word_begin, cfg,
                                               vocab.special_ids, rng)
         corrupted = apply_replacement(chunk.ids, selected, cfg.replacement_split,
-                                      vocab, rng)
+                                      vocab.mask_id, non_special, rng)
         row_labels = np.full(length, IGNORE_LABEL, dtype=np.int64)
         for p in selected:
             row_labels[p] = chunk.ids[p]

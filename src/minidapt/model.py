@@ -139,16 +139,22 @@ class TransformerModel:
     def encode_forward(self, ids, pad_mask=None, mode="eval", rng=None):
         """ids: int ndarray [B, T]; pad_mask: bool [B, T], True at real tokens.
         Returns hidden Tensor [B, T, d]."""
-        return self._encode(ids, pad_mask, mode, rng, cls_only=False)
+        return self._encode(ids, pad_mask, mode, rng, None)
+
+    def encode_at(self, ids, queries, pad_mask=None, mode="eval", rng=None):
+        """The hidden states [B, L, d] at positions `queries` (int [B, L]) of
+        each row: the last layer runs ln1, K and V at every position and the
+        rest at the queries only, with the full path's dropout draws, so the
+        result equals `encode_forward(...)` gathered at the queries up to
+        summation order."""
+        return self._encode(ids, pad_mask, mode, rng, queries)
 
     def encode_cls(self, ids, pad_mask=None, mode="eval", rng=None):
         """The CLS slot's hidden state [B, 1, d], all the classifier head reads:
-        the last layer runs ln1, K and V at every position and the rest for
-        query 0 only, with the full path's dropout draws, so the result equals
-        `encode_forward(...)[:, :1]` up to summation order."""
-        return self._encode(ids, pad_mask, mode, rng, cls_only=True)
+        `encode_at` with query 0 in every row."""
+        return self._encode(ids, pad_mask, mode, rng, np.zeros((len(ids), 1), dtype=np.intp))
 
-    def _encode(self, ids, pad_mask, mode, rng, cls_only):
+    def _encode(self, ids, pad_mask, mode, rng, queries):
         cfg = self.config
         ids = np.asarray(ids)
         B, T = ids.shape
@@ -156,6 +162,13 @@ class TransformerModel:
             raise ValueError(f"sequence length {T} exceeds max_len {cfg.max_len}")
         if np.any(ids < 0) or np.any(ids >= cfg.vocab_size):
             raise ValueError("token id out of range")
+        if queries is not None:
+            queries = np.asarray(queries)
+            if queries.ndim != 2 or len(queries) != B:
+                raise ValueError(f"queries must have shape [{B}, L], got {queries.shape}")
+            if np.any(queries < 0) or np.any(queries >= T):
+                raise ValueError("query position out of range")
+            at = (np.arange(B)[:, None], queries)
         P = self.params
         x = P["embed.tok"][ids] + P["embed.pos"][:T]
         if pad_mask is None:
@@ -163,15 +176,15 @@ class TransformerModel:
         else:
             bias = np.where(np.asarray(pad_mask), 0.0, ATTN_MASK_BIAS)
             bias = bias[:, None, None, :]  # broadcast over heads and queries
-        draw = None  # the dropout draw's shape, when it is not the output's
+        draw = None  # (full shape, index) of the dropout draw, when it is not the output's
         for i in range(cfg.num_layers):
             p = f"layer{i}"
             h = layer_norm(x, P[f"{p}.ln1.gamma"], P[f"{p}.ln1.beta"])
-            last = cls_only and i == cfg.num_layers - 1
-            q = linear(h[:, :1] if last else h, P[f"{p}.attn.wq"], P[f"{p}.attn.wq_b"])
+            last = queries is not None and i == cfg.num_layers - 1
+            q = linear(h[at] if last else h, P[f"{p}.attn.wq"], P[f"{p}.attn.wq_b"])
             k, v = (linear(h, P[f"{p}.attn.{n}"], P[f"{p}.attn.{n}_b"]) for n in ("wk", "wv"))
             if last:
-                x, draw = x[:, :1], x.shape
+                x, draw = x[at], (x.shape, at)
             a = linear(attention(q, k, v, cfg.num_heads, bias),
                        P[f"{p}.attn.wo"], P[f"{p}.attn.wo_b"])
             x = residual(x, a, cfg.dropout_rate, rng, mode, draw)

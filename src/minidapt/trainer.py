@@ -106,11 +106,18 @@ def effective_warmup(total_steps, warmup_steps=MLMConfig.warmup_steps):
 
 
 def _mlm_batch_loss(model, batch, mode, rng=None):
-    """The MLM head and loss run on the labelled positions only."""
-    hidden = model.encode_forward(batch.input_ids, pad_mask=None, mode=mode, rng=rng)
+    """The last encoder layer, the MLM head and the loss run on the labelled
+    positions only. Each row's queries are its labelled positions in order,
+    padded with unlabelled ones to the batch's largest count, so the valid
+    query slots, read row-major, are `labels[labeled]`'s order."""
     labeled = batch.labels != IGNORE_LABEL
-    loss = masked_cross_entropy(model.mlm_logits(hidden[labeled]), batch.labels[labeled])
-    return loss, int(labeled.sum())
+    counts = labeled.sum(axis=1)
+    width = int(counts.max())
+    queries = np.argsort(~labeled, axis=1, kind="stable")[:, :width]
+    hidden = model.encode_at(batch.input_ids, queries, pad_mask=None, mode=mode, rng=rng)
+    valid = np.arange(width) < counts[:, None]
+    loss = masked_cross_entropy(model.mlm_logits(hidden[valid]), batch.labels[labeled])
+    return loss, int(counts.sum())
 
 
 def mlm_validation_loss(ckpt, chunks, cfg, vocab):

@@ -348,19 +348,23 @@ class TestFusedMatchesUnfused:
         point = np.random.default_rng([7, 1])
         x = Parameter("x", point.normal(size=(2, 6, 4)))
         a = Parameter("a", point.normal(size=(2, 6, 4)))
-        c = point.normal(size=(2, 1, 4))
-        results = []
-        for corner in (True, False):
-            rng = np.random.default_rng(5)
-            if corner:
-                out = residual(x[:, :1], a[:, :1], 0.3, rng, "train", draw=x.shape)
-            else:
-                out = residual(x, a, 0.3, rng, "train")[:, :1]
-            results.append((out.data, self._grads(dot(out, c), [x, a]), rng.random()))
-        (value, grads, after), (full_value, full_grads, full_after) = results
-        assert np.array_equal(value, full_value)
-        assert all(np.array_equal(g, f) for g, f in zip(grads, full_grads))
-        assert after == full_after  # the rng stream goes on where the full draw leaves it
+        rows = np.arange(2)[:, None]
+        # the CLS corner, and per-row queries out of order
+        for queries in (np.zeros((2, 1), dtype=int), np.array([[4, 0, 2], [1, 5, 3]])):
+            at = (rows, queries)
+            c = point.normal(size=queries.shape + (4,))
+            results = []
+            for gathered in (True, False):
+                rng = np.random.default_rng(5)
+                if gathered:
+                    out = residual(x[at], a[at], 0.3, rng, "train", draw=(x.shape, at))
+                else:
+                    out = residual(x, a, 0.3, rng, "train")[at]
+                results.append((out.data, self._grads(dot(out, c), [x, a]), rng.random()))
+            (value, grads, after), (full_value, full_grads, full_after) = results
+            assert np.array_equal(value, full_value)
+            assert all(np.array_equal(g, f) for g, f in zip(grads, full_grads))
+            assert after == full_after  # the rng stream goes on where the full draw leaves it
 
     @pytest.mark.parametrize("padded", [False, True])
     def test_attention(self, padded):

@@ -6,7 +6,7 @@ import pytest
 
 from minidapt.autodiff import IGNORE_LABEL
 from minidapt.corpus import Chunk
-from minidapt.masking import (MaskedBatch, MaskingConfig, apply_replacement,
+from minidapt.masking import (MaskedBatch, MaskingConfig, apply_replacement, non_special_ids,
                               collate, select_positions, word_groups)
 from minidapt.tokenizer import Vocabulary, SPECIALS
 
@@ -112,23 +112,27 @@ class TestCollate:
             collate(chunks, MaskingConfig(), vocab, np.random.default_rng(0))
 
 
+def _replace_from(vocab):
+    return vocab.mask_id, non_special_ids(vocab)
+
+
 class TestApplyReplacement:
     def test_all_mask_split(self, vocab):
         ids = [5, 6, 7, 8]
-        out = apply_replacement(ids, [0, 2], (1.0, 0.0, 0.0), vocab,
+        out = apply_replacement(ids, [0, 2], (1.0, 0.0, 0.0), *_replace_from(vocab),
                                 np.random.default_rng(0))
         assert out == [vocab.mask_id, 6, vocab.mask_id, 8]
 
     def test_keep_split_leaves_ids(self, vocab):
         ids = [5, 6, 7, 8]
-        out = apply_replacement(ids, [0, 1, 2, 3], (0.0, 0.0, 1.0), vocab,
+        out = apply_replacement(ids, [0, 1, 2, 3], (0.0, 0.0, 1.0), *_replace_from(vocab),
                                 np.random.default_rng(0))
         assert out == ids
 
     def test_random_replacement_avoids_specials(self, vocab):
         rng = np.random.default_rng(1)
         out = apply_replacement([5] * 500, list(range(500)), (0.0, 1.0, 0.0),
-                                vocab, rng)
+                                *_replace_from(vocab), rng)
         assert not set(out) & vocab.special_ids
 
     def test_empirical_split_fractions(self, vocab):
@@ -136,7 +140,7 @@ class TestApplyReplacement:
         n = 100_000
         rng = np.random.default_rng(12)
         ids = [5] * n
-        out = apply_replacement(ids, list(range(n)), (0.8, 0.1, 0.1), vocab, rng)
+        out = apply_replacement(ids, list(range(n)), (0.8, 0.1, 0.1), *_replace_from(vocab), rng)
         out = np.array(out)
         frac_mask = float((out == vocab.mask_id).mean())
         frac_keep = float((out == 5).mean()) - 0.0  # random draws may also hit 5

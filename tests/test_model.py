@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import minidapt.model as model_mod
-from minidapt.autodiff import Tensor, bce_with_logits, grad_check, stable_sigmoid
+from minidapt.autodiff import (Tensor, bce_with_logits, grad_check, masked_cross_entropy,
+                               stable_sigmoid)
 from minidapt.model import EncoderConfig, TransformerModel
 
 from conftest import FD_TOL
@@ -219,6 +220,91 @@ class TestEncodeCls:
             m.encode_cls(np.zeros((1, 13), dtype=int))
         with pytest.raises(ValueError, match="token id out of range"):
             m.encode_cls(np.array([[1, 20]]))
+
+
+class TestEncodeAt:
+    """The MLM path runs only the labelled queries through the last layer,
+    each row's labelled positions first, padded with unlabelled ones to the
+    batch's largest count: the valid slots equal the full path's labelled
+    positions, with its loss, gradients and dropout rng stream, up to
+    summation order."""
+
+    def _batch(self):
+        rng = np.random.default_rng(6)
+        ids = rng.integers(0, 20, size=(4, 6))
+        labeled = np.zeros((4, 6), dtype=bool)
+        labeled[1] = True  # row 0 has no label, row 1 every position
+        labeled[2, [1, 4]] = labeled[3, [0, 2, 5]] = True
+        queries = np.array([[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5],
+                            [1, 4, 0, 2, 3, 5], [0, 2, 5, 1, 3, 4]])
+        valid = np.arange(6) < labeled.sum(axis=1)[:, None]
+        return ids, labeled, queries, valid
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_matches_the_full_path(self, num_layers, mode):
+        m = TransformerModel(tiny_config(num_layers=num_layers, dropout_rate=0.1))
+        ids, labeled, queries, valid = self._batch()
+        targets = ids[labeled]
+        results = []
+        for gathered in (True, False):
+            m.zero_grads()
+            rng = np.random.default_rng(3)
+            if gathered:
+                rows = m.encode_at(ids, queries, mode=mode, rng=rng)[valid]
+            else:
+                rows = m.encode_forward(ids, mode=mode, rng=rng)[labeled]
+            loss = masked_cross_entropy(m.mlm_logits(rows), targets)
+            loss.backward()
+            results.append((rows.data, float(loss.data), rng.random(),
+                            {n: p.grad.copy() for n, p in m.params.items()}))
+        (rows, loss, after, grads), (full_rows, full_loss, full_after, full_grads) = results
+        assert rows.shape == (11, 8)
+        assert np.abs(rows - full_rows).max() <= 1e-12 * np.abs(full_rows).max()
+        assert abs(loss - full_loss) <= 1e-12 * abs(full_loss)
+        assert after == full_after
+        top = max(np.abs(g).max() for g in full_grads.values())
+        for name, g in full_grads.items():
+            # the key bias's exact gradient is 0 (softmax is shift invariant),
+            # so both paths hold rounding dust there, measured against the
+            # largest gradient
+            scale = top if name.endswith("attn.wk_b") else np.abs(g).max()
+            assert np.abs(grads[name] - g).max() <= 1e-12 * scale, name
+
+    def test_gradients_match_finite_differences(self):
+        m = TransformerModel(tiny_config(num_layers=2, vocab_size=7, d_model=4, d_ff=6,
+                                         max_len=6, dropout_rate=0.1))
+        rng = np.random.default_rng(9)
+        # a generic point, as the 0.02-std init leaves attention gradients
+        # near the finite-difference noise floor
+        for n in m.encoder_param_names():
+            p = m.params[n]
+            p.data = (1.0 if n.endswith("gamma") else 0.0) + rng.normal(
+                0.0, 0.1 if p.data.ndim == 1 else 0.3, size=p.data.shape)
+        ids = rng.integers(0, 7, size=(3, 5))
+        queries = np.array([[3, 0], [1, 4], [2, 3]])
+        c = rng.normal(size=(3, 2, 4))
+
+        def objective():
+            # a fresh rng per call, so every call drops the same entries
+            out = m.encode_at(ids, queries, mode="train", rng=np.random.default_rng(2))
+            return out._child(float((out.data * c).sum()), (out,),
+                              lambda g: out._accum(g * c))
+
+        params = [m.params[n] for n in m.encoder_param_names()
+                  if not n.endswith("attn.wk_b")]
+        assert grad_check(objective, params) < FD_TOL
+
+    @pytest.mark.parametrize("queries, message", [
+        (np.array([[0, 12]]), "query position out of range"),
+        (np.array([[-1]]), "query position out of range"),
+        (np.array([0, 1]), "queries must have shape"),
+        (np.zeros((2, 1), dtype=int), "queries must have shape"),
+    ])
+    def test_rejects_bad_queries(self, queries, message):
+        m = TransformerModel(tiny_config())
+        with pytest.raises(ValueError, match=message):
+            m.encode_at(np.zeros((1, 12), dtype=int), queries)
 
 
 class TestMlmHead:

@@ -10,8 +10,9 @@ from minidapt.autodiff import (IGNORE_LABEL, Tensor, bce_with_logits,
 from minidapt.checkpoint import Checkpoint
 from minidapt.corpus import Chunk
 from minidapt.fixtures import separable_dataset
-from minidapt.masking import collate
+from minidapt.masking import MaskingConfig, collate
 from minidapt.model import TransformerModel
+from minidapt.optim import AdamState, adam_step
 from minidapt.trainer import (CurvePoint, FinetuneConfig, MLMConfig, _batches,
                               _cls_rows, _head_eval, _mlm_batch_loss, _trim, adapt_mlm,
                               effective_warmup, encode_examples, evaluate,
@@ -341,13 +342,39 @@ class TestComputeOnlyWhatIsRead:
         assert {kw["mode"] for _, kw in calls} == {"train", "eval"}
         assert full == []  # the classifier path reads the CLS slot only
 
-    def test_mlm_path_runs_every_position(self, small_vocab, small_chunks,
-                                          tiny_checkpoint, monkeypatch):
-        calls = _spy(monkeypatch, "encode_cls")
+    def test_mlm_path_runs_only_the_labelled_queries(self, small_vocab, small_chunks,
+                                                     tiny_checkpoint, monkeypatch):
+        calls = _spy(monkeypatch, "encode_at")
+        full = _spy(monkeypatch, "encode_forward")
+        cls = _spy(monkeypatch, "encode_cls")
         cfg = tiny_train_config()
         out, _ = adapt_mlm(tiny_checkpoint, split_chunks(small_chunks), cfg, small_vocab)
         evaluate(out, small_chunks[:4], "mlm", cfg, small_vocab)
-        assert calls == []
+        assert {kw["mode"] for _, kw in calls} == {"train", "eval"}
+        assert all(queries.shape[1] < ids.shape[1] for (ids, queries), _ in calls)
+        assert full == [] and cls == []
+
+    def test_unlabelled_batch_trains_with_zero_loss(self, small_vocab, small_chunks):
+        batch = collate(small_chunks[:4], MaskingConfig(p_mask=0.0), small_vocab,
+                        np.random.default_rng(0))
+        assert np.all(batch.labels == IGNORE_LABEL)
+        model = tiny_model(small_vocab)
+        params = list(model.params.values())
+        model.zero_grads()
+        rng = np.random.default_rng(5)
+        loss, n = _mlm_batch_loss(model, batch, "train", rng)
+        loss.backward()
+        adam_step(params, AdamState(), 1e-3)
+        assert float(loss.data) == 0.0 and n == 0
+        assert all(not p.grad.any() for p in params)
+        full_rng = np.random.default_rng(5)
+        model.encode_forward(batch.input_ids, mode="train", rng=full_rng)
+        assert rng.random() == full_rng.random()  # the full path's dropout stream
+
+    def test_unlabelled_evaluation_rejected(self, small_vocab, small_chunks, tiny_checkpoint):
+        cfg = tiny_train_config(masking=MaskingConfig(p_mask=0.0))
+        with pytest.raises(ValueError, match="no labeled positions"):
+            evaluate(tiny_checkpoint, small_chunks[:4], "mlm", cfg, small_vocab)
 
     def test_mlm_head_gets_exactly_the_labelled_rows(self, small_vocab, small_chunks,
                                                      tiny_checkpoint, monkeypatch):

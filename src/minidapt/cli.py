@@ -9,6 +9,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -57,16 +58,18 @@ class CliError(Exception):
 
 def _type_needed(default, value):
     """None if value has default's JSON type, else that type: an int (not a
-    bool) for an int and for the seed (default None), a number for a float,
-    and a list of those for a list."""
+    bool) for an int and for the seed (default None), a finite number for a
+    float (JSON's NaN and Infinity are not), and a list of those for a list."""
     if isinstance(default, list):
         if isinstance(value, list) and not any(_type_needed(default[0], x) for x in value):
             return None
-        return "a list of " + ("numbers" if isinstance(default[0], float) else "ints")
-    number = isinstance(default, float)
-    if isinstance(value, (int, float) if number else int) and not isinstance(value, bool):
-        return None
-    return "a number" if number else "an int"
+        return "a list of " + ("finite numbers" if isinstance(default[0], float) else "ints")
+    if isinstance(default, float):
+        ok = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+        needed = "a finite number"
+    else:
+        ok, needed = isinstance(value, int), "an int"
+    return None if ok and not isinstance(value, bool) else needed
 
 
 def _merge(base, override, prefix=""):
@@ -376,9 +379,10 @@ def cmd_compare(args):
             raise CliError(f"{path}: not a classification report", code=1)
         for _, attr in COMPARE_COLUMNS:
             value = getattr(rep, attr)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or isinstance(value, float) and not math.isfinite(value)):
                 raise CliError(f"{path}: schema mismatch ({attr} is {value!r}, "
-                               "not a number)", code=1)
+                               "not a finite number)", code=1)
         reports.append((name, rep))
     text, csv_text = compare_table(reports)
     out = _out_dir(args)

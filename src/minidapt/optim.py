@@ -1,31 +1,16 @@
 """Adam with decoupled weight decay, linear warmup/decay schedule, freezing."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass
-class Schedule:
-    peak_lr: float
-    warmup_steps: int
-    total_steps: int
-
-    def __post_init__(self):
-        if not (0 < self.warmup_steps <= self.total_steps):
-            raise ValueError("need 0 < warmup_steps <= total_steps")
-        if self.peak_lr <= 0:
-            raise ValueError("peak_lr must be positive")
-
-
-def lr_at(schedule, step):
-    """Learning rate at a 1-indexed step: linear ramp to peak, linear decay to 0."""
-    if not (1 <= step <= schedule.total_steps):
-        raise ValueError(f"step {step} outside [1, {schedule.total_steps}]")
-    if step <= schedule.warmup_steps:
-        return schedule.peak_lr * step / schedule.warmup_steps
-    span = schedule.total_steps - schedule.warmup_steps
-    return schedule.peak_lr * (schedule.total_steps - step) / span
+def lr_at(step, peak_lr, warmup_steps, total_steps):
+    """Learning rate at a 1-indexed step of total_steps: a linear ramp to
+    peak_lr over warmup_steps, capped at a tenth of the run and at least 1,
+    then a linear decay to 0 at the last step."""
+    warmup = max(1, min(warmup_steps, total_steps // 10))
+    if step <= warmup:
+        return peak_lr * step / warmup
+    return peak_lr * (total_steps - step) / (total_steps - warmup)
 
 
 class AdamState:

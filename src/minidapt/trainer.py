@@ -11,7 +11,7 @@ from .autodiff import (IGNORE_LABEL, Tensor, bce_with_logits, masked_cross_entro
 from .corpus import SplitSpec
 from .masking import MaskingConfig, collate
 from .metrics import classification_report, mlm_report
-from .optim import AdamState, Schedule, adam_step, lr_at, set_trainable
+from .optim import AdamState, adam_step, lr_at, set_trainable
 
 # rng stream tags, combined with the run seed so every consumer gets an
 # independent deterministic stream
@@ -40,7 +40,8 @@ class MLMConfig:
     weight_decay: float = 0.01
 
     def __post_init__(self):
-        _check("mlm", self, [("epochs", 0), ("batch_size", 1)], ["peak_lr"])
+        _check("mlm", self, [("epochs", 0), ("batch_size", 1), ("warmup_steps", 0)],
+               ["peak_lr"])
         if self.weight_decay < 0:
             raise ValueError("mlm.weight_decay must be non-negative")
 
@@ -100,11 +101,6 @@ def _batches(n, batch_size, merge_singleton=False):
     return out
 
 
-def effective_warmup(total_steps, warmup_steps=MLMConfig.warmup_steps):
-    """warmup_steps, capped at a tenth of the run and at least 1."""
-    return max(1, min(warmup_steps, total_steps // 10))
-
-
 def _mlm_batch_loss(model, batch, mode, rng=None):
     """The last encoder layer, the MLM head and the loss run on the labelled
     positions only. Each row's queries are its labelled positions in order,
@@ -153,8 +149,6 @@ def adapt_mlm(init, splits, cfg, vocab):
 
     n_batches = len(_batches(len(train_chunks), cfg.mlm.batch_size))
     total_steps = cfg.mlm.epochs * n_batches
-    schedule = Schedule(cfg.mlm.peak_lr,
-                        effective_warmup(total_steps, cfg.mlm.warmup_steps), total_steps)
 
     shuffle_rng = np.random.default_rng([cfg.seed, _SHUFFLE])
     curves = []
@@ -171,7 +165,8 @@ def adapt_mlm(init, splits, cfg, vocab):
             loss, n = _mlm_batch_loss(model, batch, mode="train", rng=drop_rng)
             loss.backward()
             step += 1
-            adam_step(params, adam, lr_at(schedule, step), cfg.mlm.weight_decay)
+            lr = lr_at(step, cfg.mlm.peak_lr, cfg.mlm.warmup_steps, total_steps)
+            adam_step(params, adam, lr, cfg.mlm.weight_decay)
             epoch_total += float(loss.data) * n
             epoch_count += n
         train_loss = epoch_total / max(epoch_count, 1)

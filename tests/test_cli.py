@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import struct
@@ -147,7 +148,7 @@ class TestConfigSections:
         assert err.startswith("error:") and "weight_decay" in err
 
     @pytest.mark.parametrize("item", [
-        "mlm.epochs=-1", "mlm.batch_size=0", "mlm.peak_lr=0",
+        "mlm.epochs=-1", "mlm.batch_size=0", "mlm.peak_lr=0", "mlm.warmup_steps=-5",
         "finetune.stage1_epochs=-1", "finetune.stage2_epochs=-2",
         "finetune.batch_size=0", "finetune.batch_size=1",
         "finetune.lr_frozen=-0.1", "finetune.lr_unfrozen=0",
@@ -188,6 +189,8 @@ class TestConfigSections:
     @pytest.mark.parametrize("text, message", [
         ('{"baseline": {"epoch": 3}}', "'baseline.epoch'"),
         ('[7]', "expected a JSON object"),
+        ('{"masking": {"p_mask": -Infinity}}',
+         "config key 'masking.p_mask' must be a finite number"),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "cfg.json"
@@ -225,6 +228,11 @@ class TestConfigSections:
         ("baseline", "baseline.lambda_grid=[0.1,-1]", "lambda must be positive"),
         ("baseline", 'cls_split=["a",1,0]', "'cls_split'"),
         ("baseline", "baseline.epochs=-1", "baseline.epochs"),
+        # JSON's NaN and Infinity are refused when the settings are read
+        ("adapt", "mlm.peak_lr=Infinity", "config key 'mlm.peak_lr' must be a finite number"),
+        ("adapt", "mlm.weight_decay=NaN", "config key 'mlm.weight_decay' must be a finite number"),
+        ("baseline", "cls_split=[NaN,0.5,0.5]",
+         "config key 'cls_split' must be a list of finite numbers"),
     ])
     def test_malformed_setting_exits_2(self, ws, tmp_path, capsys, command, item, key):
         argv = {"vocab": ["--corpus", ws["corpus_b"]],
@@ -664,7 +672,7 @@ class TestCompareCommand:
                    "--out", tmp_path)
         assert code == 2
 
-    @pytest.mark.parametrize("value", [None, "0.9", True])
+    @pytest.mark.parametrize("value", [None, "0.9", True, math.nan, math.inf])
     def test_non_numeric_metric_exits_1(self, ws, tmp_path, capsys, value):
         with open(os.path.join(ws["base"], "report.json"), encoding="utf-8") as f:
             report = json.load(f)
@@ -679,6 +687,7 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: {bad}: schema mismatch (recall is ")
+        assert err.endswith(", not a finite number)\n")
 
     @pytest.mark.parametrize("raw, message", [
         (b'"classify"', "a report is a JSON object"),

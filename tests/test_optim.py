@@ -4,42 +4,47 @@ from numpy.testing import assert_allclose
 
 from minidapt.autodiff import Parameter
 from minidapt.model import TransformerModel, EncoderConfig
-from minidapt.optim import AdamState, Schedule, adam_step, lr_at, set_trainable
+from minidapt.optim import AdamState, adam_step, lr_at, set_trainable
 
 
-def sched(peak=1e-4, warmup=10, total=100):
-    return Schedule(peak_lr=peak, warmup_steps=warmup, total_steps=total)
-
-
-class TestSchedule:
+class TestLrAt:
+    # a 100-step run whose ramp, capped at a tenth of the run, is 10 steps
     def test_warmup_endpoint_is_peak(self):
-        assert lr_at(sched(), 10) == 1e-4
+        assert lr_at(10, 1e-4, 1000, 100) == 1e-4
 
     def test_final_step_is_zero(self):
-        assert lr_at(sched(), 100) == 0.0
+        assert lr_at(100, 1e-4, 1000, 100) == 0.0
 
     def test_linear_midpoint(self):
-        assert_allclose(lr_at(sched(), 55), 5e-5)
+        assert_allclose(lr_at(55, 1e-4, 1000, 100), 5e-5)
 
     def test_continuity_at_warmup(self):
-        s = sched(warmup=7, total=50)
-        assert abs(lr_at(s, 7) - (lr_at(s, 8) + s.peak_lr / (50 - 7))) < 1e-18
+        assert abs(lr_at(7, 1e-4, 7, 70) - (lr_at(8, 1e-4, 7, 70) + 1e-4 / (70 - 7))) < 1e-18
 
     def test_nonnegative_everywhere(self):
-        s = sched(warmup=3, total=17)
-        assert all(lr_at(s, t) >= 0 for t in range(1, 18))
+        assert all(lr_at(t, 1e-4, 3, 37) >= 0 for t in range(1, 38))
 
-    def test_out_of_range_errors(self):
-        with pytest.raises(ValueError):
-            lr_at(sched(), 0)
-        with pytest.raises(ValueError):
-            lr_at(sched(), 101)
+    # the first step's rate is peak / warmup, which pins the capped warmup
+    def test_long_runs_keep_full_warmup(self):
+        assert lr_at(1, 1.0, 1000, 10_000) == 1 / 1000
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Schedule(peak_lr=1e-4, warmup_steps=0, total_steps=10)
-        with pytest.raises(ValueError):
-            Schedule(peak_lr=1e-4, warmup_steps=20, total_steps=10)
+    def test_short_runs_scale_to_tenth(self):
+        assert lr_at(1, 1.0, 1000, 500) == 1 / 50
+
+    def test_default_equals_the_thousand_step_rule(self):
+        # 1000 steps on runs of 10,000 steps or more, else a tenth of the run, at least 1
+        old = [1000 if t >= 10000 else max(1, min(1000, t // 10)) for t in range(1, 50_001)]
+        assert [lr_at(1, 1.0, 1000, t) for t in range(1, 50_001)] == [1 / w for w in old]
+
+    def test_explicit_value_capped_at_tenth(self):
+        assert lr_at(1, 1.0, 20, 500) == 1 / 20
+        assert lr_at(1, 1.0, 80, 500) == 1 / 50
+        assert lr_at(1, 1.0, 3, 5) == 1.0
+
+    def test_never_zero(self):
+        assert lr_at(1, 1e-4, 0, 100) == 1e-4
+        assert lr_at(1, 1e-4, 1000, 5) == 1e-4
+        assert lr_at(1, 1e-4, 1000, 1) == 1e-4
 
 
 class TestAdamStep:

@@ -15,8 +15,8 @@ from minidapt.model import TransformerModel
 from minidapt.optim import AdamState, adam_step
 from minidapt.trainer import (CurvePoint, FinetuneConfig, MLMConfig, _batches,
                               _cls_rows, _head_eval, _mlm_batch_loss, _trim, adapt_mlm,
-                              effective_warmup, encode_examples, evaluate,
-                              finetune_staged, mlm_validation_loss, write_curves)
+                              encode_examples, evaluate, finetune_staged,
+                              mlm_validation_loss, write_curves)
 
 from conftest import tiny_model, tiny_train_config
 
@@ -38,27 +38,6 @@ def split_docs(docs):
     return docs[:int(n * 0.68)], docs[int(n * 0.68):int(n * 0.8)], docs[int(n * 0.8):]
 
 
-class TestWarmupScaling:
-    def test_long_runs_keep_full_warmup(self):
-        assert effective_warmup(10_000) == 1000
-
-    def test_short_runs_scale_to_tenth(self):
-        assert effective_warmup(500) == 50
-
-    def test_never_zero(self):
-        assert effective_warmup(5) == 1
-
-    def test_default_equals_the_thousand_step_rule(self):
-        # 1000 steps on runs of 10,000 steps or more, else a tenth of the run, at least 1
-        old = [1000 if t >= 10000 else max(1, min(1000, t // 10)) for t in range(1, 50_001)]
-        assert [effective_warmup(t, 1000) for t in range(1, 50_001)] == old
-
-    def test_explicit_value_capped_at_tenth(self):
-        assert effective_warmup(500, 20) == 20
-        assert effective_warmup(500, 80) == 50
-        assert effective_warmup(5, 3) == 1
-
-
 def test_negative_weight_decay_rejected():
     with pytest.raises(ValueError, match="weight_decay"):
         MLMConfig(weight_decay=-1)
@@ -69,6 +48,7 @@ IMPOSSIBLE_SETTINGS = [
     (MLMConfig, "epochs", -1, "mlm.epochs must be an integer >= 0"),
     (MLMConfig, "batch_size", 0, "mlm.batch_size must be an integer >= 1"),
     (MLMConfig, "peak_lr", 0.0, "mlm.peak_lr must be positive"),
+    (MLMConfig, "warmup_steps", -5, "mlm.warmup_steps must be an integer >= 0"),
     (FinetuneConfig, "stage1_epochs", -1, "finetune.stage1_epochs must be an integer >= 0"),
     (FinetuneConfig, "stage2_epochs", 1.5, "finetune.stage2_epochs must be an integer >= 0"),
     (FinetuneConfig, "batch_size", 1, "finetune.batch_size must be an integer >= 2"),
@@ -129,6 +109,24 @@ class TestAdaptMlm:
     def test_empty_split_errors(self, small_vocab, tiny_checkpoint):
         with pytest.raises(ValueError):
             adapt_mlm(tiny_checkpoint, ([], [], []), tiny_train_config(), small_vocab)
+
+    def test_each_step_trains_at_the_scheduled_rate(self, small_vocab, small_chunks,
+                                                    tiny_checkpoint, monkeypatch):
+        import minidapt.trainer as trainer_mod
+        lrs = []
+
+        def spy(params, state, lr, weight_decay=0.0):
+            lrs.append(lr)
+            return adam_step(params, state, lr, weight_decay)
+
+        monkeypatch.setattr(trainer_mod, "adam_step", spy)
+        # 3 epochs of 2 batches; the default warmup is capped to 1 step of 6
+        cfg = tiny_train_config(mlm=MLMConfig(epochs=3, batch_size=8))
+        splits = small_chunks[:16], small_chunks[48:54], small_chunks[54:]
+        adapt_mlm(tiny_checkpoint, splits, cfg, small_vocab)
+        assert cfg.mlm.peak_lr == 1e-4
+        assert lrs == [1e-4] + [1e-4 * (6 - s) / 5 for s in range(2, 7)]
+        assert lrs[-1] == 0.0
 
     def test_ignored_padding_chunks_leave_loss_unchanged(self, small_vocab,
                                                          small_chunks,

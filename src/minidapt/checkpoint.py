@@ -1,9 +1,11 @@
 """Checkpoint file: canonical JSON manifest + little-endian float64 payload.
 
 Layout: 8-byte magic, 8-byte LE manifest length, manifest bytes, payload.
-The manifest records config, entry names/shapes/offsets and training-stage
-provenance. A checkpoint holds weights and batch-norm statistics only; each
-training loop starts its own optimizer state. load -> save is byte-identical.
+The manifest holds exactly the encoder config and the training-stage
+provenance. The config fixes every array's shape, so the payload is the
+float64 values of the _entries() arrays back to back. A checkpoint holds
+weights and batch-norm statistics only; each training loop starts its own
+optimizer state. load -> save is byte-identical.
 """
 
 import json
@@ -14,7 +16,7 @@ import numpy as np
 
 from .model import EncoderConfig, TransformerModel
 
-MAGIC = b"MDAPTCK2"
+MAGIC = b"MDAPTCK3"
 
 
 class Checkpoint:
@@ -41,24 +43,14 @@ class Checkpoint:
         return out
 
     def save(self, path):
-        entries = self._entries()
-        manifest = {
-            "config": self.model.config.to_dict(),
-            "provenance": self.provenance,
-            "entries": [],
-        }
-        offset = 0
-        for name, arr in entries:
-            manifest["entries"].append({"name": name, "shape": list(arr.shape),
-                                        "offset": offset})
-            offset += arr.size * 8
+        manifest = {"config": self.model.config.to_dict(), "provenance": self.provenance}
         mbytes = json.dumps(manifest, sort_keys=True,
                             separators=(",", ":")).encode("utf-8")
         with open(path, "wb") as f:
             f.write(MAGIC)
             f.write(struct.pack("<Q", len(mbytes)))
             f.write(mbytes)
-            for _, arr in entries:
+            for _, arr in self._entries():
                 f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
     @classmethod
@@ -73,20 +65,19 @@ class Checkpoint:
             header = f.read(8)
             if len(header) < 8:
                 raise ValueError(f"{path}: file ends inside the header")
-            (mlen,) = struct.unpack("<Q", header)
-            raw = f.read(mlen)
-            if len(raw) < mlen:
-                raise ValueError(f"{path}: file ends inside the manifest "
-                                 f"({len(raw)} of {mlen} bytes)")
-            try:
-                manifest = json.loads(raw.decode("utf-8"))
-            except ValueError as e:
-                raise ValueError(f"{path}: manifest is not UTF-8 JSON ({e})") from None
-            payload = f.read()
-        if not isinstance(manifest, dict) or set(manifest) != {"config", "entries", "provenance"}:
-            raise ValueError(f"{path}: manifest needs the keys config, entries and provenance")
-        if not isinstance(manifest["config"], dict) or not isinstance(manifest["entries"], list):
-            raise ValueError(f"{path}: manifest config must be an object and entries a list")
+            rest = f.read()
+        (mlen,) = struct.unpack("<Q", header)
+        if len(rest) < mlen:
+            raise ValueError(f"{path}: file ends inside the manifest "
+                             f"({len(rest)} of {mlen} bytes)")
+        try:
+            manifest = json.loads(rest[:mlen].decode("utf-8"))
+        except ValueError as e:
+            raise ValueError(f"{path}: manifest is not UTF-8 JSON ({e})") from None
+        if not isinstance(manifest, dict) or set(manifest) != {"config", "provenance"}:
+            raise ValueError(f"{path}: manifest needs the keys config and provenance")
+        if not isinstance(manifest["config"], dict):
+            raise ValueError(f"{path}: manifest config must be an object")
         if not isinstance(manifest["provenance"], dict):
             raise ValueError(f"{path}: manifest provenance must be an object, "
                              f"got {manifest['provenance']!r}")
@@ -98,32 +89,15 @@ class Checkpoint:
         except (TypeError, ValueError) as e:
             raise ValueError(f"{path}: config: {e}") from None
         model = TransformerModel(config, init=True)
-        # save writes the entries back to back in _entries() order
-        expected, start, end = {}, {}, 0  # each entry's array, filled in place
-        for name, arr in cls(model)._entries():
-            expected[name], start[name] = arr, end
-            end += 8 * arr.size
-        for entry in manifest["entries"]:
-            if not isinstance(entry, dict) or set(entry) != {"name", "shape", "offset"}:
-                raise ValueError(f"{path}: entry {entry} needs the keys name, shape and offset")
-            name, shape, offset = entry["name"], entry["shape"], entry["offset"]
-            if not isinstance(name, str) or name not in expected:
-                raise ValueError(f"{path}: unknown or repeated entry {name}")
-            arr = expected.pop(name)
-            if not isinstance(shape, list) or tuple(shape) != arr.shape:
-                raise ValueError(f"{path}: entry {name} has shape {shape}, "
-                                 f"expected {list(arr.shape)}")
-            if type(offset) is not int or offset != start[name]:
-                raise ValueError(f"{path}: entry {name} has offset {offset!r}, "
-                                 f"expected {start[name]}")
-            if offset + 8 * arr.size > len(payload):
-                raise ValueError(f"{path}: payload too short for entry {name}")
-            arr[...] = np.frombuffer(payload, dtype="<f8", count=arr.size,
-                                     offset=offset).reshape(arr.shape)
+        entries = cls(model)._entries()
+        need = 8 * sum(arr.size for _, arr in entries)
+        if len(rest) - mlen != need:
+            raise ValueError(f"{path}: payload is {len(rest) - mlen} bytes, "
+                             f"the config needs {need}")
+        values, start = np.frombuffer(rest, dtype="<f8", offset=mlen), 0
+        for name, arr in entries:  # filled in place, in save's order
+            arr[...] = values[start:start + arr.size].reshape(arr.shape)
+            start += arr.size
             if not np.isfinite(arr).all():
                 raise ValueError(f"{path}: entry {name} holds a non-finite value")
-        if expected:
-            raise ValueError(f"{path}: missing entry {min(expected)}")
-        if end != len(payload):
-            raise ValueError(f"{path}: {len(payload) - end} bytes after the last entry")
         return cls(model, manifest["provenance"])

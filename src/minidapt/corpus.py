@@ -31,7 +31,10 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.ratios) != 3 or any(r < 0 for r in self.ratios):
+        # r >= 0 is False for NaN
+        if len(self.ratios) != 3 or not all(
+                isinstance(r, (int, float)) and not isinstance(r, bool) and r >= 0
+                for r in self.ratios):
             raise ValueError("SplitSpec: need three non-negative ratios")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             raise ValueError(f"SplitSpec: ratios sum to {sum(self.ratios)}, expected 1")

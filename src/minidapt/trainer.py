@@ -2,6 +2,7 @@
 with best-validation-checkpoint selection and curve logging."""
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,16 +19,22 @@ from .optim import AdamState, adam_step, lr_at, set_trainable
 _SHUFFLE, _TRAIN_MASK, _VAL_MASK, _DROPOUT, _FT_SHUFFLE, _FT_DROPOUT = range(6)
 
 
+def _finite(value):
+    """A number that is neither infinite nor NaN; a bool is no number."""
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and math.isfinite(value))
+
+
 def _check(section, cfg, at_least=(), positive=()):
-    """Reject a count below its minimum or a learning rate that is not
-    positive, naming the key."""
+    """Reject a count below its minimum or a learning rate that is not a
+    finite positive number, naming the key."""
     for name, low in at_least:
         value = getattr(cfg, name)
         if isinstance(value, bool) or not isinstance(value, int) or value < low:
             raise ValueError(f"{section}.{name} must be an integer >= {low}")
     for name in positive:
         value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+        if not (_finite(value) and value > 0):
             raise ValueError(f"{section}.{name} must be positive")
 
 
@@ -42,7 +49,7 @@ class MLMConfig:
     def __post_init__(self):
         _check("mlm", self, [("epochs", 0), ("batch_size", 1), ("warmup_steps", 0)],
                ["peak_lr"])
-        if self.weight_decay < 0:
+        if not (_finite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError("mlm.weight_decay must be non-negative")
 
 

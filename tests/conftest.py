@@ -81,26 +81,16 @@ def poison(src, dst, entry, value):
     ckpt.save(dst)
 
 
-def _first_entry(**values):
-    return lambda m: m["entries"][0].update(values)
-
-
 def _config(**values):
     return lambda m: m["config"].update(values)
 
 
 # manifest values of the wrong type or place, each as (edit, what the error
-# says); the first entry is param/embed.pos, at offset 0
+# says)
 BAD_MANIFEST_VALUES = {
-    "offset-str": (_first_entry(offset="0"), "entry param/embed.pos has offset '0', expected 0"),
-    "offset-float": (_first_entry(offset=0.0), "entry param/embed.pos has offset 0.0"),
-    "offset-bool": (_first_entry(offset=True), "entry param/embed.pos has offset True"),
-    "offset-overlap": (lambda m: m["entries"][1].update(offset=0),
-                       "entry param/embed.tok has offset 0, expected"),
-    "shape-null": (_first_entry(shape=None), "entry param/embed.pos has shape None"),
-    "name-list": (_first_entry(name=["param/embed.pos"]),
-                  "unknown or repeated entry ['param/embed.pos']"),
-    "entries-int": (lambda m: m.update(entries=5), "entries a list"),
+    # the config fixes every shape, so a manifest holds no entry table
+    "entries-int": (lambda m: m.update(entries=5),
+                    "manifest needs the keys config and provenance"),
     "config-list": (lambda m: m.update(config=[]), "config must be an object"),
     "size-str": (_config(num_layers="1"), "config: num_layers must be an int, got '1'"),
     "size-bool": (_config(d_ff=True), "config: d_ff must be an int, got True"),

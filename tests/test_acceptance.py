@@ -371,14 +371,11 @@ def test_11_baseline_oracles():
 def test_12_determinism(pipeline_runs):
     _, d1, d2 = pipeline_runs
     diffs = []
-    for key, files in [("vocab", ("vocab.json", "vocab_stats.json")),
-                       ("adapt", ("adapted.ckpt", "curves.csv", "report.json")),
-                       ("ft_adapted", ("classifier.ckpt", "curves.csv",
-                                       "report.json")),
-                       ("ft_vanilla", ("classifier.ckpt", "curves.csv",
-                                       "report.json")),
-                       ("baseline", ("baseline.json", "report.json"))]:
-        for name in files:
+    for key in d1:  # every file of every step, manifests included
+        names = sorted(os.listdir(d1[key]))
+        if names != sorted(os.listdir(d2[key])):
+            diffs.append(f"{key}/ file names")
+        for name in names:
             a = open(os.path.join(d1[key], name), "rb").read()
             b = open(os.path.join(d2[key], name), "rb").read()
             if a != b:

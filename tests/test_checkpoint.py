@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from minidapt.checkpoint import Checkpoint
+from minidapt.checkpoint import MAGIC, Checkpoint
 
 from conftest import BAD_MANIFEST_VALUES, poison, rewrite_manifest, tiny_model
 
@@ -36,8 +38,14 @@ class TestCheckpointIO:
         ckpt.save(path)
         seen = {}
         rewrite_manifest(path, seen.update)  # an unchanged rewrite, to read the manifest
-        assert set(seen) == {"config", "entries", "provenance"}
-        assert all(e["name"].startswith(("param/", "bn/")) for e in seen["entries"])
+        assert set(seen) == {"config", "provenance"}
+        # the payload after the manifest holds the weights and norm statistics only
+        model = ckpt.model
+        values = (sum(p.data.size for p in model.params.values())
+                  + sum(2 * s.running_mean.size for s in model.bn_states.values()))
+        raw = path.read_bytes()
+        (mlen,) = struct.unpack("<Q", raw[8:16])
+        assert len(raw) == 16 + mlen + 8 * values
 
     def test_copy_is_deep(self, small_vocab):
         ckpt = Checkpoint(tiny_model(small_vocab))
@@ -74,45 +82,31 @@ class TestStrictLoad:
         Checkpoint(tiny_model(small_vocab)).save(path)
         return path
 
-    def test_missing_entry_is_named(self, saved):
-        rewrite_manifest(saved, lambda m: m.update(
-            entries=[e for e in m["entries"] if e["name"] != "param/embed.pos"]))
-        with pytest.raises(ValueError, match="missing entry param/embed.pos"):
-            Checkpoint.load(saved)
-
-    def test_unknown_parameter_is_named(self, saved):
-        def rename(m):
-            for e in m["entries"]:
-                if e["name"] == "param/embed.pos":
-                    e["name"] = "param/embed.where"
-        rewrite_manifest(saved, rename)
-        with pytest.raises(ValueError, match="param/embed.where"):
-            Checkpoint.load(saved)
-
-    def test_unknown_kind_is_named(self, saved):
-        def add(m):
-            m["entries"].append({"name": "foo/x", "shape": [], "offset": 0})
-        rewrite_manifest(saved, add)
-        with pytest.raises(ValueError, match="unknown or repeated entry foo/x"):
-            Checkpoint.load(saved)
-
     def test_previous_format_is_named(self, saved):
-        saved.write_bytes(b"MDAPTCK1" + saved.read_bytes()[8:])
-        with pytest.raises(ValueError, match="checkpoint format MDAPTCK1 is not supported"):
-            Checkpoint.load(saved)
+        raw = saved.read_bytes()
+        for old in ("MDAPTCK1", "MDAPTCK2"):
+            saved.write_bytes(old.encode() + raw[8:])
+            assert_rejected(saved, f"checkpoint format {old} is not supported; "
+                                   f"this version reads {MAGIC.decode()}")
+
+    # the length of a saved checkpoint's payload: what its config needs
+    @staticmethod
+    def payload_bytes(path):
+        raw = path.read_bytes()
+        (mlen,) = struct.unpack("<Q", raw[8:16])
+        return len(raw) - 16 - mlen
 
     def test_short_payload_is_named(self, saved):
-        saved.write_bytes(saved.read_bytes()[:-8])  # bn entries come last
-        with pytest.raises(ValueError, match="payload too short for entry bn/head.bn2/var"):
-            Checkpoint.load(saved)
+        raw, need = saved.read_bytes(), self.payload_bytes(saved)
+        for cut in (8, 1):  # one value short, or one byte
+            saved.write_bytes(raw[:-cut])
+            assert_rejected(saved, f"payload is {need - cut} bytes, the config needs {need}")
 
-    def test_wrong_shape_is_named(self, saved):
-        def reshape(m):
-            for e in m["entries"]:
-                if e["name"] == "param/embed.pos":
-                    e["shape"] = [2, 16]
-        rewrite_manifest(saved, reshape)
-        assert_rejected(saved, "entry param/embed.pos has shape [2, 16], expected [64, 16]")
+    def test_config_that_disagrees_with_payload_rejected(self, saved):
+        # d_model 8 instead of 16: every shape shrinks, so the payload is too long
+        need = self.payload_bytes(saved)
+        rewrite_manifest(saved, lambda m: m["config"].update(d_model=8, d_ff=16))
+        assert_rejected(saved, f"payload is {need} bytes, the config needs ")
 
     @pytest.mark.parametrize("size", [8, 9, 15])
     def test_file_cut_inside_header(self, saved, size):
@@ -120,8 +114,10 @@ class TestStrictLoad:
         assert_rejected(saved, "file ends inside the header")
 
     def test_trailing_bytes_rejected(self, saved):
-        saved.write_bytes(saved.read_bytes() + bytes(64))
-        assert_rejected(saved, "64 bytes after the last entry")
+        raw, need = saved.read_bytes(), self.payload_bytes(saved)
+        for extra in (8, 1):  # one value too many, or one stray byte
+            saved.write_bytes(raw + bytes(extra))
+            assert_rejected(saved, f"payload is {need + extra} bytes, the config needs {need}")
 
     # colour is unknown; the others are missing, and max_len has a default
     @pytest.mark.parametrize("key", ["colour", "max_len", "head_hidden", "vocab_size"])
@@ -134,13 +130,9 @@ class TestStrictLoad:
         rewrite_manifest(saved, edit)
         assert_rejected(saved, f"config keys ['{key}'] missing or unknown")
 
-    def test_entry_without_offset_rejected(self, saved):
-        rewrite_manifest(saved, lambda m: m["entries"][0].pop("offset"))
-        assert_rejected(saved, "needs the keys name, shape and offset")
-
     def test_missing_provenance_rejected(self, saved):
         rewrite_manifest(saved, lambda m: m.pop("provenance"))
-        assert_rejected(saved, "manifest needs the keys config, entries and provenance")
+        assert_rejected(saved, "manifest needs the keys config and provenance")
 
     @pytest.mark.parametrize("entry, value", [("param/head.out.b", np.nan),
                                               ("param/embed.tok", np.inf),

@@ -359,13 +359,12 @@ class TestFinetuneCommand:
     def test_broken_base_checkpoint_exits_2(self, ws, tmp_path, capsys):
         broken = tmp_path / "broken.ckpt"
         shutil.copyfile(ws["adapted"], broken)
-        rewrite_manifest(broken, lambda m: m.update(
-            entries=[e for e in m["entries"] if e["name"] != "param/embed.pos"]))
+        broken.write_bytes(broken.read_bytes()[:-8])  # one value short
         code = run("finetune", "--vocab", ws["vocab_path"], "--dataset", ws["dataset"],
                    "--base", broken, "--seed", 7, "--out", tmp_path / "out", *TINY)
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error:") and "missing entry param/embed.pos" in err
+        assert err.startswith(f"error: {broken}: payload is ") and "the config needs" in err
 
     @pytest.mark.parametrize("case", ["seed-str", "seed-negative", "provenance-int"])
     def test_bad_header_value_in_base_exits_2(self, ws, tmp_path, capsys, case):
@@ -603,19 +602,32 @@ class TestEvaluateCommand:
 
     def test_cut_checkpoint_exits_2(self, ws, tmp_path, capsys):
         cut = tmp_path / "cut.ckpt"
-        cut.write_bytes(b"MDAPTCK2\x01")
+        cut.write_bytes(MAGIC + b"\x01")
         code = run("evaluate", "--vocab", ws["vocab_path"], "--ckpt", cut,
                    "--data", ws["corpus_b"], "--task", "mlm",
                    "--seed", 7, "--out", tmp_path / "out", *TINY)
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error:") and "file ends inside the header" in err
+        assert err.startswith(f"error: {cut}: file ends inside the header")
 
+    def test_older_format_exits_2(self, ws, tmp_path, capsys):
+        old = tmp_path / "old.ckpt"
+        with open(ws["adapted"], "rb") as f:
+            old.write_bytes(b"MDAPTCK2" + f.read()[8:])
+        code = run("evaluate", "--vocab", ws["vocab_path"], "--ckpt", old,
+                   "--data", ws["corpus_b"], "--task", "mlm",
+                   "--seed", 7, "--out", tmp_path / "out", *TINY)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {old}: checkpoint format MDAPTCK2 is not supported")
 
     @pytest.mark.parametrize("declared, manifest, message", [
         (None, b'{"config": }', "manifest is not UTF-8 JSON (Expecting value"),
         (None, b'{"\xff": 1}', "manifest is not UTF-8 JSON ("),
         (100, b'{"config": {}}', "file ends inside the manifest (14 of 100 bytes)"),
+        # lengths too large to read or allocate are compared, not read
+        (2**64 - 1, b"{}", f"file ends inside the manifest (2 of {2**64 - 1} bytes)"),
+        (2**40, b"{}", f"file ends inside the manifest (2 of {2**40} bytes)"),
     ])
     def test_unreadable_manifest_exits_2(self, ws, tmp_path, capsys, declared, manifest,
                                          message):

@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -120,10 +121,11 @@ class TestSplit:
         assert Counter(id(d) for d in combined) == Counter(id(d) for d in docs)
 
     def test_invalid_ratios(self):
-        with pytest.raises(ValueError):
-            SplitSpec((0.5, 0.5, 0.5))
-        with pytest.raises(ValueError):
-            SplitSpec((0.5, -0.1, 0.6))
+        # a NaN ratio passes "< 0" and makes the sum check compare NaN
+        for ratios in [(0.5, 0.5, 0.5), (0.5, -0.1, 0.6), (math.nan, 0.5, 0.5),
+                       (0.5, math.nan, 0.5), ("0.5", 0.25, 0.25), (True, False, False)]:
+            with pytest.raises(ValueError, match="SplitSpec: "):
+                SplitSpec(ratios)
 
     def test_empty_docs(self):
         with pytest.raises(ValueError):

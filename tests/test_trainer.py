@@ -54,6 +54,13 @@ IMPOSSIBLE_SETTINGS = [
     (FinetuneConfig, "batch_size", 1, "finetune.batch_size must be an integer >= 2"),
     (FinetuneConfig, "lr_frozen", -0.1, "finetune.lr_frozen must be positive"),
     (FinetuneConfig, "lr_unfrozen", "1e-6", "finetune.lr_unfrozen must be positive"),
+    # a rate that is not finite: inf passes "> 0" and NaN passes "< 0"
+    (MLMConfig, "peak_lr", math.inf, "mlm.peak_lr must be positive"),
+    (MLMConfig, "weight_decay", math.nan, "mlm.weight_decay must be non-negative"),
+    (MLMConfig, "weight_decay", math.inf, "mlm.weight_decay must be non-negative"),
+    (MLMConfig, "weight_decay", "0.01", "mlm.weight_decay must be non-negative"),
+    (FinetuneConfig, "lr_frozen", math.inf, "finetune.lr_frozen must be positive"),
+    (FinetuneConfig, "lr_unfrozen", math.inf, "finetune.lr_unfrozen must be positive"),
 ]
 
 

@@ -2,19 +2,22 @@
 
 Layout: 8-byte magic, 8-byte LE manifest length, manifest bytes, payload.
 The manifest holds exactly the encoder config and the training-stage
-provenance. The config fixes every array's shape, so the payload is the
-float64 values of the _entries() arrays back to back. A checkpoint holds
+provenance. The config fixes every array's shape (model.param_shapes), so
+the payload is the float64 values of the _entries() arrays back to back;
+load checks its length against the config before it allocates any array,
+then fills an unfilled model with no random init. A checkpoint holds
 weights and batch-norm statistics only; each training loop starts its own
 optimizer state. load -> save is byte-identical.
 """
 
 import json
+import math
 import struct
 from dataclasses import fields
 
 import numpy as np
 
-from .model import EncoderConfig, TransformerModel
+from .model import EncoderConfig, TransformerModel, param_shapes
 
 MAGIC = b"MDAPTCK3"
 
@@ -27,9 +30,11 @@ class Checkpoint:
     def copy(self):
         m = TransformerModel(self.model.config, init=False)
         for name, p in self.model.params.items():
-            m.params[name] = type(p)(name, p.data.copy(), p.requires_grad)
-        m.bn_states = {k: s.copy() for k, s in self.model.bn_states.items()}
-        return Checkpoint(m, dict(self.provenance))
+            m.params[name].requires_grad = p.requires_grad
+        clone = Checkpoint(m, dict(self.provenance))
+        for (_, dst), (_, src) in zip(clone._entries(), self._entries(), strict=True):
+            dst[...] = src
+        return clone
 
     def _entries(self):
         """(name, array) pairs in a fixed, sorted order."""
@@ -88,14 +93,15 @@ class Checkpoint:
             config = EncoderConfig.from_dict(manifest["config"])
         except (TypeError, ValueError) as e:
             raise ValueError(f"{path}: config: {e}") from None
-        model = TransformerModel(config, init=True)
-        entries = cls(model)._entries()
-        need = 8 * sum(arr.size for _, arr in entries)
+        # the parameters, then each batch-norm layer's mean and var
+        need = 8 * (sum(math.prod(shape) for _, shape in param_shapes(config))
+                    + 2 * sum(config.head_hidden))
         if len(rest) - mlen != need:
             raise ValueError(f"{path}: payload is {len(rest) - mlen} bytes, "
                              f"the config needs {need}")
+        model = TransformerModel(config, init=False)
         values, start = np.frombuffer(rest, dtype="<f8", offset=mlen), 0
-        for name, arr in entries:  # filled in place, in save's order
+        for name, arr in cls(model)._entries():  # filled in place, in save's order
             arr[...] = values[start:start + arr.size].reshape(arr.shape)
             start += arr.size
             if not np.isfinite(arr).all():

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tokenizer import encode, normalize_whitespace
+from .tokenizer import EncodedText, encode, normalize_whitespace
 
 
 @dataclass
@@ -38,12 +38,6 @@ class SplitSpec:
             raise ValueError("SplitSpec: need three non-negative ratios")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             raise ValueError(f"SplitSpec: ratios sum to {sum(self.ratios)}, expected 1")
-
-
-@dataclass
-class Chunk:
-    ids: list
-    word_begin: list
 
 
 def _parse_label(raw):
@@ -133,6 +127,6 @@ def chunk_stream(docs, vocab, chunk_size=128):
         word_begin.extend(enc.word_begin)
     chunks = []
     for start in range(0, len(ids) - chunk_size + 1, chunk_size):
-        chunks.append(Chunk(ids=ids[start:start + chunk_size],
-                            word_begin=word_begin[start:start + chunk_size]))
+        chunks.append(EncodedText(ids=ids[start:start + chunk_size],
+                                  word_begin=word_begin[start:start + chunk_size]))
     return chunks

@@ -63,63 +63,60 @@ class EncoderConfig:
 INIT_STD = 0.02
 
 
+def param_shapes(config):
+    """Every parameter's (name, shape), in init order. The init follows from
+    it: each matrix draws N(0, INIT_STD) in turn, a `*.gamma` is ones and
+    every other vector is zeros."""
+    d, v, f = config.d_model, config.vocab_size, config.d_ff
+    yield "embed.tok", (v, d)
+    yield "embed.pos", (config.max_len, d)
+    for i in range(config.num_layers):
+        p = f"layer{i}"
+        for proj in ("wq", "wk", "wv", "wo"):
+            yield f"{p}.attn.{proj}", (d, d)
+            yield f"{p}.attn.{proj}_b", (d,)
+        yield f"{p}.ffn.w1", (d, f)
+        yield f"{p}.ffn.b1", (f,)
+        yield f"{p}.ffn.w2", (f, d)
+        yield f"{p}.ffn.b2", (d,)
+        for ln in ("ln1", "ln2"):
+            yield f"{p}.{ln}.gamma", (d,)
+            yield f"{p}.{ln}.beta", (d,)
+    yield "final_ln.gamma", (d,)
+    yield "final_ln.beta", (d,)
+    yield "mlm.w", (d, v)
+    yield "mlm.b", (v,)
+    n_in = d
+    for j, n in enumerate(config.head_hidden, 1):
+        yield f"head.dense{j}.w", (n_in, n)
+        yield f"head.dense{j}.b", (n,)
+        yield f"head.bn{j}.gamma", (n,)
+        yield f"head.bn{j}.beta", (n,)
+        n_in = n
+    yield "head.out.w", (n_in, 1)
+    yield "head.out.b", (1,)
+
+
 class TransformerModel:
     """Parameter container plus forward passes for both heads."""
 
     def __init__(self, config, init=True):
+        """With `init=False` the parameters are allocated unfilled, for a
+        caller that writes every value."""
         self.config = config
+        rng = np.random.default_rng(config.seed)
         self.params = {}
-        self.bn_states = {}
-        if init:
-            self._init_params()
-
-    # ---- initialization --------------------------------------------------
-
-    def _add(self, name, value):
-        self.params[name] = Parameter(name, value)
-
-    def _init_params(self):
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-
-        def w(*shape):
-            return rng.normal(0.0, INIT_STD, size=shape)
-
-        d, v = cfg.d_model, cfg.vocab_size
-        self._add("embed.tok", w(v, d))
-        self._add("embed.pos", w(cfg.max_len, d))
-        for i in range(cfg.num_layers):
-            p = f"layer{i}"
-            for proj in ("wq", "wk", "wv", "wo"):
-                self._add(f"{p}.attn.{proj}", w(d, d))
-                self._add(f"{p}.attn.{proj}_b", np.zeros(d))
-            self._add(f"{p}.ffn.w1", w(d, cfg.d_ff))
-            self._add(f"{p}.ffn.b1", np.zeros(cfg.d_ff))
-            self._add(f"{p}.ffn.w2", w(cfg.d_ff, d))
-            self._add(f"{p}.ffn.b2", np.zeros(d))
-            self._add(f"{p}.ln1.gamma", np.ones(d))
-            self._add(f"{p}.ln1.beta", np.zeros(d))
-            self._add(f"{p}.ln2.gamma", np.ones(d))
-            self._add(f"{p}.ln2.beta", np.zeros(d))
-        self._add("final_ln.gamma", np.ones(d))
-        self._add("final_ln.beta", np.zeros(d))
-
-        self._add("mlm.w", w(d, v))
-        self._add("mlm.b", np.zeros(v))
-
-        h1, h2 = cfg.head_hidden
-        self._add("head.dense1.w", w(d, h1))
-        self._add("head.dense1.b", np.zeros(h1))
-        self._add("head.bn1.gamma", np.ones(h1))
-        self._add("head.bn1.beta", np.zeros(h1))
-        self._add("head.dense2.w", w(h1, h2))
-        self._add("head.dense2.b", np.zeros(h2))
-        self._add("head.bn2.gamma", np.ones(h2))
-        self._add("head.bn2.beta", np.zeros(h2))
-        self._add("head.out.w", w(h2, 1))
-        self._add("head.out.b", np.zeros(1))
-        self.bn_states["head.bn1"] = BatchNormState(h1)
-        self.bn_states["head.bn2"] = BatchNormState(h2)
+        for name, shape in param_shapes(config):
+            if not init:
+                value = np.empty(shape)
+            elif len(shape) == 2:
+                value = rng.normal(0.0, INIT_STD, size=shape)
+            else:
+                value = np.ones(shape) if name.endswith(".gamma") else np.zeros(shape)
+            self.params[name] = Parameter(name, value)
+        # one per `head.bn{j}` of the table
+        self.bn_states = {f"head.bn{j}": BatchNormState(n)
+                          for j, n in enumerate(config.head_hidden, 1)}
 
     # ---- parameter bookkeeping -------------------------------------------
 
@@ -199,8 +196,6 @@ class TransformerModel:
 
     def classify_logits(self, hidden, mode="eval", rng=None):
         """Raw pre-sigmoid scores [B] from the CLS-slot representation."""
-        if mode == "train" and hidden.shape[0] < 2:
-            raise ValueError("classify: train mode needs batch size >= 2")
         P = self.params
         pooled = hidden[:, 0, :]
         z = linear(pooled, P["head.dense1.w"], P["head.dense1.b"], relu=True)

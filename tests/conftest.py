@@ -100,7 +100,10 @@ BAD_MANIFEST_VALUES = {
     "head-short": (_config(head_hidden=[8]), "config: head_hidden must be two positive ints"),
     # a header written before the tied MLM head was removed
     "tie-mlm": (_config(tie_mlm=False), "config keys ['tie_mlm'] missing or unknown"),
-    # the seed of the random init that load fills in
+    # a size whose arrays no machine could allocate: load compares the
+    # payload length with the config before it allocates
+    "vocab-huge": (_config(vocab_size=10**13), "the config needs "),
+    # the init seed, which load records but draws nothing from
     "seed-str": (_config(seed="abc"), "config: seed must be a non-negative int, got 'abc'"),
     "seed-float": (_config(seed=1.5), "config: seed must be a non-negative int, got 1.5"),
     "seed-negative": (_config(seed=-1), "config: seed must be a non-negative int, got -1"),

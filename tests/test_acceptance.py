@@ -20,12 +20,12 @@ from minidapt.autodiff import (IGNORE_LABEL, Tensor, bce_with_logits,
                                grad_check, masked_cross_entropy)
 from minidapt.checkpoint import Checkpoint
 from minidapt.cli import main as cli_main
-from minidapt.corpus import Chunk, Document, chunk_stream
+from minidapt.corpus import Document, chunk_stream
 from minidapt.fixtures import separable_dataset, two_domain_corpus
 from minidapt.masking import MaskingConfig, collate, word_groups
 from minidapt.metrics import EvalReport, classification_report, perplexity
 from minidapt.model import EncoderConfig, TransformerModel
-from minidapt.tokenizer import SPECIALS, Vocabulary, encode
+from minidapt.tokenizer import SPECIALS, EncodedText, Vocabulary, encode
 from minidapt.trainer import (adapt_mlm, evaluate, finetune_staged,
                               mlm_validation_loss)
 
@@ -107,8 +107,8 @@ def test_02_masking_statistics():
     candidates = labeled = n_mask = n_rand = n_keep = 0
     length = 128
     for _ in range(10):
-        chunks = [Chunk(ids=list(data_rng.integers(5, vocab.size, size=length)),
-                        word_begin=list(data_rng.random(length) < 0.4))
+        chunks = [EncodedText(ids=list(data_rng.integers(5, vocab.size, size=length)),
+                              word_begin=list(data_rng.random(length) < 0.4))
                   for _ in range(100)]
         batch = collate(chunks, cfg, vocab, rng)
         orig = np.array([c.ids for c in chunks])
@@ -137,8 +137,8 @@ def test_03_whole_word_property():
     partial = 0
     n_chunks = 10_000
     for start in range(0, n_chunks, 100):
-        chunks = [Chunk(ids=list(data_rng.integers(5, vocab.size, size=24)),
-                        word_begin=list(data_rng.random(24) < 0.4))
+        chunks = [EncodedText(ids=list(data_rng.integers(5, vocab.size, size=24)),
+                              word_begin=list(data_rng.random(24) < 0.4))
                   for _ in range(100)]
         batch = collate(chunks, cfg, vocab, rng)
         for chunk, labels in zip(chunks, batch.labels):

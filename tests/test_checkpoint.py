@@ -57,6 +57,18 @@ class TestCheckpointIO:
         assert not np.array_equal(ckpt.model.bn_states["head.bn1"].running_mean,
                                   clone.model.bn_states["head.bn1"].running_mean)
 
+    def test_copy_keeps_values_and_freeze_flags(self, small_vocab):
+        ckpt = Checkpoint(tiny_model(small_vocab), provenance={"stage": "mlm"})
+        ckpt.model.params["embed.tok"].requires_grad = False
+        ckpt.model.bn_states["head.bn1"].running_var[:] = 2.0
+        clone = ckpt.copy()
+        assert clone.provenance == ckpt.provenance
+        for (name, a), (_, b) in zip(ckpt._entries(), clone._entries(), strict=True):
+            assert a.tobytes() == b.tobytes(), name
+        for name, p in ckpt.model.params.items():
+            assert clone.model.params[name].requires_grad == p.requires_grad
+            assert not clone.model.params[name].grad.any()
+
     def test_rejects_non_checkpoint_file(self, tmp_path):
         path = tmp_path / "junk"
         path.write_bytes(b"definitely not a checkpoint")

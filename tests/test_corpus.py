@@ -5,8 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minidapt.corpus import (Chunk, Document, SplitSpec, chunk_stream,
-                             load_documents, split)
+from minidapt.corpus import Document, SplitSpec, chunk_stream, load_documents, split
 from minidapt.tokenizer import encode, train_vocab
 
 

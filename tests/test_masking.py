@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from minidapt.autodiff import IGNORE_LABEL
-from minidapt.corpus import Chunk
 from minidapt.masking import (MaskedBatch, MaskingConfig, apply_replacement, non_special_ids,
                               collate, select_positions, word_groups)
-from minidapt.tokenizer import Vocabulary, SPECIALS
+from minidapt.tokenizer import EncodedText, Vocabulary, SPECIALS
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "masking_fixture.json")
 
@@ -27,7 +26,7 @@ def random_chunks(rng, n, length=32, vocab_size=40, with_specials=False):
                 ids[p] = int(rng.integers(0, 5))
         word_begin = (rng.random(length) < 0.4).tolist()
         word_begin[0] = True
-        chunks.append(Chunk(ids=ids, word_begin=word_begin))
+        chunks.append(EncodedText(ids=ids, word_begin=word_begin))
     return chunks
 
 
@@ -55,7 +54,7 @@ class TestCollate:
     def test_matches_frozen_reference_selections(self, vocab):
         with open(FIXTURE, encoding="utf-8") as f:
             fx = json.load(f)
-        chunks = [Chunk(ids=c["ids"], word_begin=c["word_begin"])
+        chunks = [EncodedText(ids=c["ids"], word_begin=c["word_begin"])
                   for c in fx["chunks"]]
         cfg = MaskingConfig(p_mask=fx["p_mask"], p_wwm=fx["p_wwm"],
                             replacement_split=(0.0, 0.0, 1.0))
@@ -88,7 +87,7 @@ class TestCollate:
                               original[special_positions])
 
     def test_all_special_chunk_gets_all_ignore(self, vocab):
-        chunk = Chunk(ids=[vocab.pad_id] * 8, word_begin=[True] * 8)
+        chunk = EncodedText(ids=[vocab.pad_id] * 8, word_begin=[True] * 8)
         batch = collate([chunk], MaskingConfig(), vocab, np.random.default_rng(8))
         assert np.all(batch.labels == IGNORE_LABEL)
 
@@ -106,8 +105,8 @@ class TestCollate:
     def test_empty_and_ragged_chunks_rejected(self, vocab):
         with pytest.raises(ValueError):
             collate([], MaskingConfig(), vocab, np.random.default_rng(0))
-        chunks = [Chunk(ids=[5, 6], word_begin=[True, True]),
-                  Chunk(ids=[5], word_begin=[True])]
+        chunks = [EncodedText(ids=[5, 6], word_begin=[True, True]),
+                  EncodedText(ids=[5], word_begin=[True])]
         with pytest.raises(ValueError):
             collate(chunks, MaskingConfig(), vocab, np.random.default_rng(0))
 

@@ -8,11 +8,11 @@ from numpy.testing import assert_allclose
 from minidapt.autodiff import (IGNORE_LABEL, Tensor, bce_with_logits,
                                masked_cross_entropy, stable_sigmoid)
 from minidapt.checkpoint import Checkpoint
-from minidapt.corpus import Chunk
 from minidapt.fixtures import separable_dataset
 from minidapt.masking import MaskingConfig, collate
 from minidapt.model import TransformerModel
 from minidapt.optim import AdamState, adam_step
+from minidapt.tokenizer import EncodedText
 from minidapt.trainer import (CurvePoint, FinetuneConfig, MLMConfig, _batches,
                               _cls_rows, _head_eval, _mlm_batch_loss, _trim, adapt_mlm,
                               encode_examples, evaluate, finetune_staged,
@@ -140,7 +140,7 @@ class TestAdaptMlm:
                                                          tiny_checkpoint):
         cfg = tiny_train_config()
         val = small_chunks[:4]
-        pad_chunk = Chunk(ids=[small_vocab.pad_id] * 32, word_begin=[True] * 32)
+        pad_chunk = EncodedText(ids=[small_vocab.pad_id] * 32, word_begin=[True] * 32)
         base = mlm_validation_loss(tiny_checkpoint, val, cfg, small_vocab)
         padded = mlm_validation_loss(tiny_checkpoint, val + [pad_chunk] * 3,
                                      cfg, small_vocab)

@@ -130,15 +130,19 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into the `grad` of every leaf that
         requires one.
 
-        One-shot: each op result is replayed once, then its `grad`, `_prev`
-        and `_backward` are dropped, so the graph below `self` is freed as it
-        goes and cannot be replayed again. Leaf grads (parameters) stay.
+        One-shot: each op result is popped off the tape, replayed once, and
+        its `grad`, `_prev` and `_backward` are dropped. Its consumers were
+        replayed before it and no closure reads a consumer's output, so the
+        graph below `self` is freed node by node and cannot be replayed
+        again. Leaf grads (parameters) stay.
         """
         if self.data.ndim != 0 and self.data.size != 1:
             raise ShapeError(f"backward: loss must be scalar, got shape {self.data.shape}")
         if self.grad is None:
             self.grad = np.ones_like(self.data)
-        for node in reversed(_tape(self)):
+        tape = _tape(self)
+        while tape:
+            node = tape.pop()
             if node._prev:
                 if node.grad is not None:
                     node._backward(node.grad)
@@ -248,13 +252,16 @@ def attention(q, k, v, num_heads, bias=None):
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize the last axis, then scale/shift by gamma/beta (shape [d])."""
+    """Normalize the last axis, then scale/shift by gamma/beta (shape [d]).
+    The node keeps `mu` and `inv` ([..., 1]), not `xhat`: backward forms it
+    again with the forward's expression, so the gradients keep their bits."""
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
 
     def _backward(g):
+        xhat = (x.data - mu) * inv
         d = x.data.shape[-1]
         sum_axes = tuple(range(g.ndim - 1))
         gamma._accum((g * xhat).sum(axis=sum_axes))
@@ -386,11 +393,17 @@ def masked_cross_entropy(logits, labels, ignore=IGNORE_LABEL):
     loss = float((lse - picked).mean())
 
     def _backward(g):
-        full = np.zeros_like(flat)
-        sm = np.exp(rows - lse[:, None])
+        # in place, in the order of `float(g) * full` with `full[sel] = sm /
+        # n`, so the bits (signed zeros too) are that expression's
+        sm = rows - lse[:, None]
+        np.exp(sm, out=sm)
         sm[np.arange(n), target] -= 1.0
-        full[sel] = sm / n
-        logits._accum(float(g) * full.reshape(logits.data.shape))
+        sm /= n
+        full = np.zeros_like(flat)
+        full[sel] = sm
+        del sm
+        full *= float(g)
+        logits._accum(full.reshape(logits.data.shape))
 
     return logits._child(loss, (logits,), _backward)
 

@@ -93,12 +93,17 @@ class Checkpoint:
             config = EncoderConfig.from_dict(manifest["config"])
         except (TypeError, ValueError) as e:
             raise ValueError(f"{path}: config: {e}") from None
-        # the parameters, then each batch-norm layer's mean and var
-        need = 8 * (sum(math.prod(shape) for _, shape in param_shapes(config))
-                    + 2 * sum(config.head_hidden))
-        if len(rest) - mlen != need:
-            raise ValueError(f"{path}: payload is {len(rest) - mlen} bytes, "
-                             f"the config needs {need}")
+        # each batch-norm layer's mean and var, then the parameters; the sum
+        # stops once it passes the payload, so a huge config fails at once
+        have, need, at_least = len(rest) - mlen, 16 * sum(config.head_hidden), ""
+        for _, shape in param_shapes(config):
+            if need > have:
+                at_least = "at least "
+                break
+            need += 8 * math.prod(shape)
+        if need != have:
+            raise ValueError(f"{path}: payload is {have} bytes, "
+                             f"the config needs {at_least}{need}")
         model = TransformerModel(config, init=False)
         values, start = np.frombuffer(rest, dtype="<f8", offset=mlen), 0
         for name, arr in cls(model)._entries():  # filled in place, in save's order

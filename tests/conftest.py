@@ -103,6 +103,9 @@ BAD_MANIFEST_VALUES = {
     # a size whose arrays no machine could allocate: load compares the
     # payload length with the config before it allocates
     "vocab-huge": (_config(vocab_size=10**13), "the config needs "),
+    # a layer count whose table alone would take hours to sum: load stops
+    # summing once it passes the payload length
+    "layers-huge": (_config(num_layers=10**9), "the config needs at least "),
     # the init seed, which load records but draws nothing from
     "seed-str": (_config(seed="abc"), "config: seed must be a non-negative int, got 'abc'"),
     "seed-float": (_config(seed=1.5), "config: seed must be a non-negative int, got 1.5"),

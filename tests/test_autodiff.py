@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -293,10 +294,42 @@ def reference_attention(q, k, v, num_heads, bias, c):
                          join(np.swapaxes(p, -1, -2) @ c)]
 
 
+def reference_layer_norm(x, gamma, beta, c, eps=1e-5):
+    """`layer_norm`'s value and its x, gamma, beta gradients for upstream
+    `c`, in NumPy, from a kept `xhat`."""
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    xhat = (x - mu) * inv
+    d, sum_axes = x.shape[-1], tuple(range(c.ndim - 1))
+    gx = c * gamma
+    return xhat * gamma + beta, [
+        inv / d * (d * gx - gx.sum(axis=-1, keepdims=True)
+                   - xhat * (gx * xhat).sum(axis=-1, keepdims=True)),
+        (c * xhat).sum(axis=sum_axes), c.sum(axis=sum_axes)]
+
+
+def reference_masked_cross_entropy_grad(logits, labels, g):
+    """`masked_cross_entropy`'s logits gradient for upstream `g`, in NumPy:
+    (softmax - onehot) / n at the labelled rows, zero elsewhere, times g."""
+    flat = logits.reshape(-1, logits.shape[-1])
+    sel = labels.reshape(-1) != IGNORE_LABEL
+    rows, target = flat[sel], labels.reshape(-1)[sel]
+    n = len(target)
+    m = rows.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(rows - m).sum(axis=1))
+    full = np.zeros_like(flat)
+    sm = np.exp(rows - lse[:, None])
+    sm[np.arange(n), target] -= 1.0
+    full[sel] = sm / n
+    return (float(g) * full).reshape(logits.shape)
+
+
 class TestFusedMatchesUnfused:
     """`linear` and `attention` give bit for bit the values and gradients of
     the NumPy expressions they fuse, and `residual` those of `x + dropout(a)`,
-    so fusing them moves no artifact."""
+    so fusing them moves no artifact. `layer_norm` and `masked_cross_entropy`
+    give those of the expressions that kept `xhat` and formed the loss's
+    gradient in separate buffers."""
 
     rng = np.random.default_rng(7)
 
@@ -379,6 +412,35 @@ class TestFusedMatchesUnfused:
         value, grads = reference_attention(*[t.data for t in qkv], H, bias, c)
         assert np.array_equal(fused.data, value)
         assert all(np.array_equal(f, r) for f, r in zip(self._grads(dot(fused, c), qkv), grads))
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_layer_norm(self, ndim):
+        x = Parameter("x", self.rng.normal(2.0, 3.0, size=(2, 3, 8)[3 - ndim:]))
+        gamma = Parameter("gamma", self.rng.normal(size=8))
+        beta = Parameter("beta", self.rng.normal(size=8))
+        c = self.rng.normal(size=x.shape)
+        out = layer_norm(x, gamma, beta)
+        value, grads = reference_layer_norm(x.data, gamma.data, beta.data, c)
+        assert np.array_equal(out.data, value)
+        assert all(np.array_equal(f, r) for f, r in zip(
+            self._grads(dot(out, c), [x, gamma, beta]), grads))
+
+    @pytest.mark.parametrize("ignored", [False, True])
+    @pytest.mark.parametrize("g", [1.0, -0.5])
+    def test_masked_cross_entropy_grad(self, ignored, g):
+        logits = self.rng.normal(size=(2, 5, 7))
+        labels = self.rng.integers(0, 7, size=(2, 5))
+        if ignored:
+            labels[:, 1::2] = IGNORE_LABEL
+        # a plain tensor takes its first gradient as a copy, so a zero keeps
+        # its sign: under g < 0 the ignored rows are -0.0
+        x = Tensor(logits, requires_grad=True)
+        loss = masked_cross_entropy(x, labels)
+        loss.grad = np.array(g)
+        loss.backward()
+        expected = reference_masked_cross_entropy_grad(logits, labels, g)
+        assert np.array_equal(x.grad, expected)
+        assert np.array_equal(np.signbit(x.grad), np.signbit(expected))
 
 
 class TestPrimitiveGradients:
@@ -593,15 +655,55 @@ class TestGraphLifetime:
                     kept[id(base(a))] = base(a)
         return sum(a.nbytes for k, a in kept.items() if k not in leaves)
 
+    def test_backward_frees_each_node_once_replayed(self, no_gc):
+        rng = np.random.default_rng(0)
+        w = Parameter("w", rng.normal(size=(4, 4)))
+        b = Parameter("b", rng.normal(size=4))
+        first = linear(Parameter("x", rng.normal(size=(3, 4))), w, b)
+        later = linear(layer_norm(first, Parameter("g", np.ones(4)), Parameter("be", np.zeros(4))),
+                       w, b, relu=True)
+        loss = masked_cross_entropy(later, np.array([0, 1, 2]))
+        later_ref, replay, dead = weakref.ref(later), first._backward, []
+
+        def spy(g):
+            dead.append(later_ref() is None)
+            replay(g)
+
+        first._backward = spy
+        del first, later
+        loss.backward()
+        # `later` was replayed before `first`, and nothing kept it after
+        assert dead == [True]
+
     def test_mlm_step_keeps_only_what_backward_reads(self, small_vocab, small_chunks):
         model = tiny_model(small_vocab)
         batch = collate(small_chunks[:8], MaskingConfig(), small_vocab,
                         np.random.default_rng(0))
         loss, _ = _mlm_batch_loss(model, batch, "train", np.random.default_rng(1))
-        # 845,744 bytes; with separate head split and join nodes the same graph
-        # held 878,640, and with separate dropout, `+` and ReLU nodes and
-        # float64 dropout masks as well 1,067,056
-        assert self._retained_bytes(loss) <= 845_744
+        # 396,520 bytes; with layer norm keeping `xhat` 440,680, and with the
+        # last layer, the MLM head and the loss run at every position as well
+        # 845,744; with separate head split and join nodes the same graph held
+        # 878,640, and with separate dropout, `+` and ReLU nodes and float64
+        # dropout masks as well 1,067,056
+        assert self._retained_bytes(loss) <= 396_520
+
+    def test_mlm_backward_peak_stays_near_the_graph(self, small_vocab, small_chunks, no_gc):
+        model = tiny_model(small_vocab)
+        batch = collate(small_chunks[:8], MaskingConfig(), small_vocab,
+                        np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            loss, _ = _mlm_batch_loss(model, batch, "train", np.random.default_rng(1))
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 1.26 of the bytes traced when backward starts; 1.45 while
+        # backward kept every replayed node, layer norm its `xhat` and the
+        # loss's backward four [N, V] temporaries
+        assert peak / start <= 1.3
 
     def test_eval_graph_dies_with_its_result(self, small_vocab, no_gc):
         model = tiny_model(small_vocab)

@@ -70,7 +70,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.grad = None
+        self._grad = None
         self._backward = None
         self._prev = ()
 
@@ -78,24 +78,33 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
+    @property
+    def grad(self):
+        """The accumulated gradient; None until one is written."""
+        return self._grad
+
+    @grad.setter
+    def grad(self, value):
+        self._grad = value
+
     def _accum(self, g):
         if not self.requires_grad:
             return
         g = _unbroadcast(g, self.data.shape)
-        if self.grad is None:
+        if self._grad is None:
             # a copy, never `g` itself, which `+` hands to both parents;
             # `empty_like` keeps the layout, and so the summation order, of
             # `zeros_like`
-            self.grad = np.empty_like(self.data)
-            np.copyto(self.grad, g)
+            self._grad = np.empty_like(self.data)
+            np.copyto(self._grad, g)
         else:
-            self.grad += g
+            self._grad += g
 
     def zero_grad(self):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
         else:
-            self.grad.fill(0.0)
+            self._grad.fill(0.0)
 
     # ---- graph construction helpers -------------------------------------
 
@@ -138,25 +147,34 @@ class Tensor:
         """
         if self.data.ndim != 0 and self.data.size != 1:
             raise ShapeError(f"backward: loss must be scalar, got shape {self.data.shape}")
-        if self.grad is None:
-            self.grad = np.ones_like(self.data)
+        if self._grad is None:
+            self._grad = np.ones_like(self.data)
         tape = _tape(self)
         while tape:
             node = tape.pop()
             if node._prev:
-                if node.grad is not None:
-                    node._backward(node.grad)
-                node.grad, node._prev, node._backward = None, (), None
+                if node._grad is not None:
+                    node._backward(node._grad)
+                node._grad, node._prev, node._backward = None, (), None
 
 
 class Parameter(Tensor):
-    """A named leaf tensor; `requires_grad` is its freeze flag, and a frozen
-    parameter keeps a zero gradient."""
+    """A named leaf tensor; `requires_grad` is its freeze flag.
+
+    It holds no gradient array until `zero_grad` or a first gradient writes
+    one, or `grad` is read: a read allocates the zeros it returns, so a
+    parameter that nothing trained reads zero gradient. Setting `grad` to
+    None drops the array."""
 
     def __init__(self, name, value, trainable=True):
         super().__init__(value, requires_grad=trainable)
         self.name = name
-        self.zero_grad()
+
+    @Tensor.grad.getter
+    def grad(self):
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
 
 
 def stable_sigmoid(x):

@@ -128,8 +128,11 @@ class TransformerModel:
         return [n for n in self.params if n.startswith("head.")]
 
     def zero_grads(self):
+        """Zero every trainable parameter's gradient; a frozen one is never
+        written, so it keeps no array."""
         for p in self.params.values():
-            p.zero_grad()
+            if p.requires_grad:
+                p.zero_grad()
 
     # ---- forward passes --------------------------------------------------
 

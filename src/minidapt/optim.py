@@ -55,12 +55,19 @@ def adam_step(params, state, lr, weight_decay=0.0):
 
 def set_trainable(model, selector):
     """selector: 'head-only' trains the classifier head alone, 'encoder+mlm'
-    everything outside it, 'all' every parameter; frozen parameters get a zero
-    gradient. Returns the trainable tensor count."""
-    if selector not in ("head-only", "encoder+mlm", "all"):
+    everything outside it, 'encoder+head' everything but the MLM head, 'all'
+    every parameter. A trainable parameter gets a zero gradient; a frozen one
+    drops its array, since no gradient is written to it. Returns the
+    trainable tensor count."""
+    groups = {"head-only": {"head"}, "encoder+mlm": {"encoder", "mlm"},
+              "encoder+head": {"encoder", "head"}, "all": {"encoder", "mlm", "head"}}
+    if selector not in groups:
         raise ValueError(f"unknown selector {selector!r}")
-    head = set(model.head_param_names())
     for name, p in model.params.items():
-        p.requires_grad = selector == "all" or (name in head) == (selector == "head-only")
-        p.zero_grad()
+        group = name.split(".")[0]
+        p.requires_grad = (group if group in ("head", "mlm") else "encoder") in groups[selector]
+        if p.requires_grad:
+            p.zero_grad()
+        else:
+            p.grad = None
     return sum(p.requires_grad for p in model.params.values())

@@ -236,10 +236,10 @@ def _head_eval(model, rows, labels, batch_size):
 
 
 def finetune_staged(base, dataset_splits, cfg, vocab):
-    """Two-stage fine-tuning: head-only at lr_frozen, then full model at
-    lr_unfrozen from the stage-1 best weights, each stage with a fresh Adam
-    state; returns the checkpoint with the lowest validation loss seen in
-    either stage, plus curve points.
+    """Two-stage fine-tuning: head-only at lr_frozen, then encoder and head
+    (the MLM head stays frozen) at lr_unfrozen from the stage-1 best weights,
+    each stage with a fresh Adam state; returns the checkpoint with the
+    lowest validation loss seen in either stage, plus curve points.
 
     Stage 1 trains the head on the frozen encoder's eval-mode CLS rows,
     encoded once, as a frozen base runs; head dropout and train-mode batch
@@ -306,8 +306,10 @@ def finetune_staged(base, dataset_splits, cfg, vocab):
 
     ckpt = base.copy()
     run_stage(ckpt, 1, "frozen", "head-only", ft.stage1_epochs, ft.lr_frozen)
-    stage2_start = best[1].copy() if best is not None else ckpt
-    run_stage(stage2_start, 2, "unfrozen", "all", ft.stage2_epochs, ft.lr_unfrozen)
+    # rebinding `ckpt` drops stage 1's model before stage 2 runs; stage 2
+    # never runs the MLM head, so it stays frozen
+    ckpt = best[1].copy() if best is not None else ckpt
+    run_stage(ckpt, 2, "unfrozen", "encoder+head", ft.stage2_epochs, ft.lr_unfrozen)
     return best[1], curves
 
 

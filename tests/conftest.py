@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,18 @@ def tiny_model(vocab, seed=0, **kw):
                 head_dropout=0.5, seed=seed)
     base.update(kw)
     return TransformerModel(EncoderConfig(**base))
+
+
+def traced_growth(fn):
+    """(fn(), bytes that tracemalloc traces more after fn returns than before
+    it ran, while its result is held)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 def tiny_train_config(**kw):

@@ -168,6 +168,18 @@ class TestBackward:
         dot(w[np.array([0, 0, 1])], np.ones(3)).backward()
         assert_allclose(w.grad, [2.0, 1.0, 0.0])
 
+    def test_first_gradient_after_zero_grad_adds_to_zeros(self):
+        # the first gradient after zero_grad is 0.0 + g, so a -0.0 in g reads
+        # +0.0 (a first gradient with no zero_grad before it is a copy of g)
+        w = Parameter("w", np.ones(3))
+        w.zero_grad()
+        c = np.array([-0.0, 0.0, -2.0])
+        dot(w, c).backward()
+        expected = 0.0 + c
+        assert np.array_equal(w.grad, expected)
+        assert np.array_equal(np.signbit(w.grad), np.signbit(expected))
+        assert not np.signbit(w.grad[0])
+
     def test_zero_grads_keeps_each_grad_array(self, small_vocab):
         model = tiny_model(small_vocab)
         before = {n: p.grad for n, p in model.params.items()}

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from minidapt.checkpoint import MAGIC, Checkpoint
+from minidapt.model import EncoderConfig, TransformerModel
+from minidapt.optim import set_trainable
+from minidapt.tokenizer import DEFAULT_TARGET_SIZE
 
-from conftest import BAD_MANIFEST_VALUES, poison, rewrite_manifest, tiny_model
+from conftest import BAD_MANIFEST_VALUES, poison, rewrite_manifest, tiny_model, traced_growth
 
 
 class TestCheckpointIO:
@@ -68,6 +71,17 @@ class TestCheckpointIO:
         for name, p in ckpt.model.params.items():
             assert clone.model.params[name].requires_grad == p.requires_grad
             assert not clone.model.params[name].grad.any()
+
+    def test_untrained_parameters_read_zero_gradients(self, small_vocab, tmp_path):
+        ckpt = Checkpoint(tiny_model(small_vocab))
+        path = tmp_path / "z.ckpt"
+        ckpt.save(path)
+        frozen = ckpt.copy()
+        set_trainable(frozen.model, "head-only")
+        for model in (ckpt.model, ckpt.copy().model, Checkpoint.load(path).model,
+                      frozen.model):
+            for name, p in model.params.items():
+                assert p.grad.shape == p.data.shape and not p.grad.any(), name
 
     def test_rejects_non_checkpoint_file(self, tmp_path):
         path = tmp_path / "junk"
@@ -158,3 +172,28 @@ class TestStrictLoad:
         edit, message = BAD_MANIFEST_VALUES[case]
         rewrite_manifest(saved, edit)
         assert_rejected(saved, message)
+
+
+class TestWeightsOnly:
+    """A copy or a load of the default encoder holds its weights and no
+    gradient arrays: about the weights' bytes, where a gradient per
+    parameter made it twice them."""
+
+    @pytest.fixture(scope="class")
+    def ckpt(self):
+        return Checkpoint(TransformerModel(EncoderConfig(vocab_size=DEFAULT_TARGET_SIZE)))
+
+    def _weights(self, ckpt):
+        return sum(arr.nbytes for _, arr in ckpt._entries())
+
+    def test_copy_allocates_the_weights_once(self, ckpt):
+        _, grown = traced_growth(ckpt.copy)
+        # 1.01 of the weights' bytes; 2.01 with a zero gradient per parameter
+        assert grown <= 1.1 * self._weights(ckpt)
+
+    def test_load_allocates_the_weights_once(self, ckpt, tmp_path):
+        path = tmp_path / "d.ckpt"
+        ckpt.save(path)
+        _, grown = traced_growth(lambda: Checkpoint.load(path))
+        # 1.01, as for a copy; the file's bytes are freed when load returns
+        assert grown <= 1.1 * self._weights(ckpt)

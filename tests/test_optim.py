@@ -5,6 +5,9 @@ from numpy.testing import assert_allclose
 from minidapt.autodiff import Parameter
 from minidapt.model import TransformerModel, EncoderConfig
 from minidapt.optim import AdamState, adam_step, lr_at, set_trainable
+from minidapt.tokenizer import DEFAULT_TARGET_SIZE
+
+from conftest import traced_growth
 
 
 class TestLrAt:
@@ -127,6 +130,36 @@ class TestSetTrainable:
         assert set_trainable(m, "encoder+mlm") == len(m.params) - 10
         assert {n for n, p in m.params.items() if not p.requires_grad} == \
             set(m.head_param_names())
+
+    def test_encoder_head_freezes_exactly_the_mlm_head(self):
+        m = self._model()
+        assert set_trainable(m, "encoder+head") == len(m.params) - 2
+        assert {n for n, p in m.params.items() if not p.requires_grad} == {"mlm.w", "mlm.b"}
+
+    def test_frozen_parameters_drop_their_gradients(self):
+        m = self._model()
+        set_trainable(m, "all")
+        for p in m.params.values():
+            p.grad[...] = 1.0
+        set_trainable(m, "head-only")
+        m.zero_grads()
+        for name, p in m.params.items():
+            assert (p._grad is None) != p.requires_grad, name
+            assert p.grad.shape == p.data.shape and not p.grad.any(), name
+
+    def test_head_only_allocates_only_the_head_gradients(self):
+        def build():
+            m = TransformerModel(EncoderConfig(vocab_size=DEFAULT_TARGET_SIZE))
+            set_trainable(m, "head-only")
+            m.zero_grads()
+            return m
+
+        m, grown = traced_growth(build)
+        weights = sum(p.data.nbytes for p in m.params.values())
+        head = sum(m.params[n].data.nbytes for n in m.head_param_names())
+        # weights plus 1.04 of the head's gradient bytes (Python objects
+        # included); a gradient per parameter made it 3.86
+        assert grown - weights <= 1.1 * head
 
     def test_requires_grad_is_the_only_freeze_flag(self):
         p = Parameter("w", np.zeros(2), trainable=False)

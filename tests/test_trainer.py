@@ -1,5 +1,6 @@
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -226,6 +227,50 @@ class TestFinetuneStaged:
         assert curves_a == curves_f
         for name, p in out_a.model.params.items():
             assert np.array_equal(out_f.model.params[name].data, p.data), name
+
+    def test_stage2_trains_no_mlm_head(self, small_vocab, tiny_checkpoint, monkeypatch):
+        import minidapt.trainer as trainer_mod
+        states = []
+        real = trainer_mod.adam_step
+
+        def spy(params, state, lr, weight_decay=0.0):
+            if state not in states:
+                states.append(state)
+            return real(params, state, lr, weight_decay)
+
+        monkeypatch.setattr(trainer_mod, "adam_step", spy)
+        finetune_staged(tiny_checkpoint, split_docs(separable_dataset(seed=1)),
+                        tiny_train_config(), small_vocab)
+        stage1, stage2 = states
+        assert set(stage1.m) == set(tiny_checkpoint.model.head_param_names())
+        assert set(stage2.m) == {n for n in tiny_checkpoint.model.params
+                                 if not n.startswith("mlm.")}
+
+    def test_stage1_model_is_freed_before_stage2_trains(self, small_vocab, tiny_checkpoint,
+                                                        monkeypatch):
+        import minidapt.trainer as trainer_mod
+        stage1, seen = [], []
+        real_set, real_backward = trainer_mod.set_trainable, Tensor.backward
+
+        def set_trainable(model, selector):
+            if selector == "head-only":
+                stage1.append(weakref.ref(model.params["head.out.w"]))
+            else:
+                stage1.append(None)  # stage 2 has started
+            return real_set(model, selector)
+
+        def backward(self):
+            if len(stage1) == 2 and not seen:
+                seen.append(stage1[0]())
+            return real_backward(self)
+
+        monkeypatch.setattr(trainer_mod, "set_trainable", set_trainable)
+        monkeypatch.setattr(Tensor, "backward", backward)
+        finetune_staged(tiny_checkpoint, split_docs(separable_dataset(seed=1)),
+                        tiny_train_config(), small_vocab)
+        # stage 2 started from a copy of the stage-1 best; the model stage 1
+        # trained was no longer referenced
+        assert seen == [None]
 
     def test_singleton_tail_batch_merged(self, small_vocab, tiny_checkpoint):
         cfg = tiny_train_config()

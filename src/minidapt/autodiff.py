@@ -5,9 +5,13 @@ Everything downstream (encoder, heads, losses) is built from the ops here:
 and one node each for `linear`, multi-head `attention`, `residual`, the
 norms, `dropout` and the losses. `linear`, `attention` and `residual` give
 bit for bit the values and gradients of the expressions their docstrings
-state. All arrays are 64-bit so finite-difference checks are meaningful.
+state. `attention` keeps no [..., heads, T, S] weights: it runs in blocks of
+batch rows, keeps each query's row max and sum, and backward forms each
+block's weights again from them. All arrays are 64-bit so finite-difference
+checks are meaningful.
 """
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -218,69 +222,112 @@ def linear(x, w, b, relu=False):
     return x._child(out, (x, w, b), _backward)
 
 
+# the most bytes one block of attention weights [rows, heads, T, S] takes:
+# forward and backward run the batch rows a block at a time, so no weights
+# array larger than this exists and the node keeps none
+ATTN_BLOCK_BYTES = 1 << 20
+
+
 def attention(q, k, v, num_heads, bias=None):
     """Multi-head attention as one node: q [..., T, d] and k, v [..., S, d]
     are split into `num_heads` strided head views of width hd, each head gives
     softmax(q kᵀ / √hd + bias) v, and the heads are joined to [..., T, d].
     `bias` is a constant that broadcasts to the scores [..., heads, T, S].
 
-    Only the weights `p`, formed in place in the one `q kᵀ` buffer, are kept.
-    With upstream `g` made contiguous per head, backward forms `gs = p * (g vᵀ
-    - rowsum(g vᵀ * p)) / √hd` in place (row sums one leading-axis slice at a
-    time) and joins `gs @ k`, `(qᵀ @ gs)ᵀ` and `pᵀ @ g` to contiguous
-    [..., T, d]: values and gradients equal those NumPy expressions bit for bit.
+    The heads run over blocks of the first leading axis, each block's weights
+    `p` in one buffer of at most ATTN_BLOCK_BYTES (one row if a row is
+    larger). The node keeps no weights, only each query's row max and row
+    sum ([..., heads, T, 1]): backward forms each block's `p` again in the
+    forward's order (scores, × 1/√hd, + bias, − max, exp, ÷ sum). With
+    upstream `g` made contiguous per block, it forms `gs = p * (g vᵀ -
+    rowsum(g vᵀ * p)) / √hd` in place and writes `gs @ k`, `(qᵀ @ gs)ᵀ` and
+    `pᵀ @ g` into contiguous [..., T, d]: values and gradients equal those
+    NumPy expressions over the whole batch bit for bit.
     """
     hd = q.data.shape[-1] // num_heads
+    d = num_heads * hd
     scale = 1.0 / np.sqrt(hd)
 
     def split(a):
         return np.swapaxes(a.reshape(a.shape[:-1] + (num_heads, hd)), -2, -3)
 
-    def join(a):
-        return np.swapaxes(a, -2, -3).reshape(a.shape[:-3] + (a.shape[-2], num_heads * hd))
-
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    w = qh @ np.swapaxes(kh, -1, -2)
-    w *= scale
-    if bias is not None:
-        w += bias
-    w -= w.max(axis=-1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
+    lead = np.broadcast_shapes(qh.shape[:-3], kh.shape[:-3], vh.shape[:-3])
+    T, S = qh.shape[-2], kh.shape[-2]
+    if lead:
+        row_bytes = 8 * num_heads * T * S * math.prod(lead[1:])
+        n = max(1, ATTN_BLOCK_BYTES // max(row_bytes, 1))
+        blocks = [slice(i, i + n) for i in range(0, lead[0], n)]
+    else:
+        blocks = [...]
+
+    def rows(a, blk):
+        """A block's rows of a [..., heads, X, Y] operand; all of one that
+        broadcasts along the first leading axis."""
+        return a[blk] if a.ndim == len(lead) + 3 and a.shape[0] != 1 else a
+
+    m = np.empty(lead + (num_heads, T, 1))
+    l = np.empty_like(m)
+
+    def weights(blk, fresh=False):
+        """The block's weights; `fresh` first stores their row max and sum."""
+        p = rows(qh, blk) @ np.swapaxes(rows(kh, blk), -1, -2)
+        p *= scale
+        if bias is not None:
+            p += rows(bias, blk)
+        if fresh:
+            m[blk] = p.max(axis=-1, keepdims=True)
+        p -= m[blk]
+        np.exp(p, out=p)
+        if fresh:
+            l[blk] = p.sum(axis=-1, keepdims=True)
+        p /= l[blk]
+        return p
+
+    out = np.empty(lead + (T, d))
+    for blk in blocks:
+        np.matmul(weights(blk, fresh=True), rows(vh, blk), out=split(out)[blk])
 
     def _backward(g):
-        g = np.ascontiguousarray(split(g))
-        if v.requires_grad:
-            v._accum(join(np.swapaxes(w, -1, -2) @ g))
-        gs = g @ np.swapaxes(vh, -1, -2)
-        prod = np.empty_like(gs[0])
-        rows = np.empty(gs.shape[:-1] + (1,))
-        for i in range(len(gs)):
-            np.multiply(gs[i], w[i], out=prod)
-            prod.sum(axis=-1, keepdims=True, out=rows[i])
-        gs -= rows
-        gs *= w
-        gs *= scale
-        if q.requires_grad:
-            q._accum(join(gs @ kh))
-        if k.requires_grad:
-            k._accum(join(np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)))
+        g = split(g)
+        gv, gq, gk = (np.empty(lead + (a.shape[-2], d)) if t.requires_grad else None
+                      for t, a in ((v, vh), (q, qh), (k, kh)))
+        for blk in blocks:
+            p = weights(blk)
+            gb = np.ascontiguousarray(g[blk])
+            if gv is not None:
+                np.matmul(np.swapaxes(p, -1, -2), gb, out=split(gv)[blk])
+            gs = gb @ np.swapaxes(rows(vh, blk), -1, -2)
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= scale
+            del p, gb  # freed before the q and k products are formed
+            if gq is not None:
+                np.matmul(gs, rows(kh, blk), out=split(gq)[blk])
+            if gk is not None:
+                split(gk)[blk] = np.swapaxes(np.swapaxes(rows(qh, blk), -1, -2) @ gs, -1, -2)
+        for t, grad in ((v, gv), (q, gq), (k, gk)):
+            if grad is not None:
+                t._accum(grad)
 
-    return q._child(join(w @ vh), (q, k, v), _backward)
+    return q._child(out, (q, k, v), _backward)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
     """Normalize the last axis, then scale/shift by gamma/beta (shape [d]).
     The node keeps `mu` and `inv` ([..., 1]), not `xhat`: backward forms it
     again with the forward's expression, so the gradients keep their bits."""
+    d = x.data.shape[-1]
     mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    out = x.data - mu
+    # np.var's own steps on the centred input, so `inv` keeps its bits
+    inv = 1.0 / np.sqrt(np.square(out).sum(axis=-1, keepdims=True) / d + eps)
+    out *= inv
+    out *= gamma.data
+    out += beta.data
 
     def _backward(g):
         xhat = (x.data - mu) * inv
-        d = x.data.shape[-1]
         sum_axes = tuple(range(g.ndim - 1))
         gamma._accum((g * xhat).sum(axis=sum_axes))
         beta._accum(g.sum(axis=sum_axes))
@@ -288,7 +335,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         x._accum(inv / d * (d * gx - gx.sum(axis=-1, keepdims=True)
                             - xhat * (gx * xhat).sum(axis=-1, keepdims=True)))
 
-    return x._child(xhat * gamma.data + beta.data, (x, gamma, beta), _backward)
+    return x._child(out, (x, gamma, beta), _backward)
 
 
 class BatchNormState:

@@ -5,13 +5,15 @@ The manifest holds exactly the encoder config and the training-stage
 provenance. The config fixes every array's shape (model.param_shapes), so
 the payload is the float64 values of the _entries() arrays back to back;
 load checks its length against the config before it allocates any array,
-then fills an unfilled model with no random init. A checkpoint holds
-weights and batch-norm statistics only; each training loop starts its own
-optimizer state. load -> save is byte-identical.
+then reads each array's bytes into an unfilled model with no random init,
+so a load holds the weights once. A checkpoint holds weights and batch-norm
+statistics only; each training loop starts its own optimizer state.
+load -> save is byte-identical.
 """
 
 import json
 import math
+import os
 import struct
 from dataclasses import fields
 
@@ -70,45 +72,49 @@ class Checkpoint:
             header = f.read(8)
             if len(header) < 8:
                 raise ValueError(f"{path}: file ends inside the header")
-            rest = f.read()
-        (mlen,) = struct.unpack("<Q", header)
-        if len(rest) < mlen:
-            raise ValueError(f"{path}: file ends inside the manifest "
-                             f"({len(rest)} of {mlen} bytes)")
-        try:
-            manifest = json.loads(rest[:mlen].decode("utf-8"))
-        except ValueError as e:
-            raise ValueError(f"{path}: manifest is not UTF-8 JSON ({e})") from None
-        if not isinstance(manifest, dict) or set(manifest) != {"config", "provenance"}:
-            raise ValueError(f"{path}: manifest needs the keys config and provenance")
-        if not isinstance(manifest["config"], dict):
-            raise ValueError(f"{path}: manifest config must be an object")
-        if not isinstance(manifest["provenance"], dict):
-            raise ValueError(f"{path}: manifest provenance must be an object, "
-                             f"got {manifest['provenance']!r}")
-        odd = set(manifest["config"]) ^ {f.name for f in fields(EncoderConfig)}
-        if odd:
-            raise ValueError(f"{path}: config keys {sorted(odd)} missing or unknown")
-        try:
-            config = EncoderConfig.from_dict(manifest["config"])
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"{path}: config: {e}") from None
-        # each batch-norm layer's mean and var, then the parameters; the sum
-        # stops once it passes the payload, so a huge config fails at once
-        have, need, at_least = len(rest) - mlen, 16 * sum(config.head_hidden), ""
-        for _, shape in param_shapes(config):
-            if need > have:
-                at_least = "at least "
-                break
-            need += 8 * math.prod(shape)
-        if need != have:
-            raise ValueError(f"{path}: payload is {have} bytes, "
-                             f"the config needs {at_least}{need}")
-        model = TransformerModel(config, init=False)
-        values, start = np.frombuffer(rest, dtype="<f8", offset=mlen), 0
-        for name, arr in cls(model)._entries():  # filled in place, in save's order
-            arr[...] = values[start:start + arr.size].reshape(arr.shape)
-            start += arr.size
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{path}: entry {name} holds a non-finite value")
+            (mlen,) = struct.unpack("<Q", header)
+            rest = os.fstat(f.fileno()).st_size - 16
+            if rest < mlen:
+                raise ValueError(f"{path}: file ends inside the manifest "
+                                 f"({rest} of {mlen} bytes)")
+            try:
+                manifest = json.loads(f.read(mlen).decode("utf-8"))
+            except ValueError as e:
+                raise ValueError(f"{path}: manifest is not UTF-8 JSON ({e})") from None
+            if not isinstance(manifest, dict) or set(manifest) != {"config", "provenance"}:
+                raise ValueError(f"{path}: manifest needs the keys config and provenance")
+            if not isinstance(manifest["config"], dict):
+                raise ValueError(f"{path}: manifest config must be an object")
+            if not isinstance(manifest["provenance"], dict):
+                raise ValueError(f"{path}: manifest provenance must be an object, "
+                                 f"got {manifest['provenance']!r}")
+            odd = set(manifest["config"]) ^ {fld.name for fld in fields(EncoderConfig)}
+            if odd:
+                raise ValueError(f"{path}: config keys {sorted(odd)} missing or unknown")
+            try:
+                config = EncoderConfig.from_dict(manifest["config"])
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"{path}: config: {e}") from None
+            # each batch-norm layer's mean and var, then the parameters; the
+            # sum stops once it passes the payload, so a huge config fails at
+            # once
+            have, need, at_least = rest - mlen, 16 * sum(config.head_hidden), ""
+            for _, shape in param_shapes(config):
+                if need > have:
+                    at_least = "at least "
+                    break
+                need += 8 * math.prod(shape)
+            if need != have:
+                raise ValueError(f"{path}: payload is {have} bytes, "
+                                 f"the config needs {at_least}{need}")
+            model = TransformerModel(config, init=False)
+            # each array's bytes read into it in save's order, so the weights
+            # are held once
+            for name, arr in cls(model)._entries():
+                if f.readinto(arr) != arr.nbytes:
+                    raise ValueError(f"{path}: file ends inside entry {name}")
+                if not np.little_endian:
+                    arr.byteswap(inplace=True)
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"{path}: entry {name} holds a non-finite value")
         return cls(model, manifest["provenance"])

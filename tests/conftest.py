@@ -51,6 +51,18 @@ def traced_growth(fn):
         tracemalloc.stop()
 
 
+def traced_peak(fn):
+    """(fn(), the most bytes tracemalloc traced above its start while fn
+    ran)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def tiny_train_config(**kw):
     cfg = TrainConfig(
         mlm=MLMConfig(epochs=2, batch_size=8, peak_lr=1e-3, warmup_steps=1000,

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -425,6 +426,30 @@ class TestFusedMatchesUnfused:
         assert np.array_equal(fused.data, value)
         assert all(np.array_equal(f, r) for f, r in zip(self._grads(dot(fused, c), qkv), grads))
 
+    # (B, T, S, 2-D k, pad bias): an uneven split of B, masked queries, one
+    # row, a k shared by every row, and no queries
+    @pytest.mark.parametrize("B, T, S, k2d, padded", [
+        (5, 6, 6, False, True), (5, 3, 6, False, True), (1, 6, 6, False, True),
+        (5, 6, 6, True, False), (3, 0, 6, False, True)])
+    def test_attention_in_row_blocks(self, monkeypatch, B, T, S, k2d, padded):
+        H, hd = 3, 4
+        # two rows' weights per block, so B = 5 runs as 2 + 2 + 1
+        monkeypatch.setattr("minidapt.autodiff.ATTN_BLOCK_BYTES", 2 * 8 * H * T * S)
+        q = Parameter("q", self.rng.normal(size=(B, T, H * hd)))
+        k = Parameter("k", self.rng.normal(size=(S, H * hd) if k2d else (B, S, H * hd)))
+        v = Parameter("v", self.rng.normal(size=(B, S, H * hd)))
+        bias = None
+        if padded:
+            bias = np.where(np.arange(S) < np.arange(S, S - B, -1)[:, None], 0.0, ATTN_MASK_BIAS)
+            bias = bias[:, None, None, :]
+        c = self.rng.normal(size=(B, T, H * hd))
+        fused = attention(q, k, v, H, bias)
+        value, (gq, gk, gv) = reference_attention(
+            q.data, np.broadcast_to(k.data, v.shape), v.data, H, bias, c)
+        assert np.array_equal(fused.data, value)
+        grads = self._grads(dot(fused, c), [q, k, v])
+        assert all(np.array_equal(f, r) for f, r in zip(grads, [gq, _unbroadcast(gk, k.shape), gv]))
+
     @pytest.mark.parametrize("ndim", [2, 3])
     def test_layer_norm(self, ndim):
         x = Parameter("x", self.rng.normal(2.0, 3.0, size=(2, 3, 8)[3 - ndim:]))
@@ -649,8 +674,9 @@ class TestGraphLifetime:
     @staticmethod
     def _retained_bytes(root):
         """Bytes of the distinct arrays a graph holds for its backward: each op
-        result's output and the arrays its backward closure refers to, a view
-        counted once through its base, the leaves' own arrays left out."""
+        result's output and the arrays its backward closure refers to, through
+        the closures of the functions it calls too, a view counted once
+        through its base, the leaves' own arrays left out."""
         def base(a):
             while isinstance(a.base, np.ndarray):
                 a = a.base
@@ -661,10 +687,14 @@ class TestGraphLifetime:
             if not node._prev:
                 leaves.add(id(base(node.data)))
                 continue
-            cells = [c.cell_contents for c in node._backward.__closure__ or ()]
-            for a in [node.data] + cells:
+            refs, seen = [node.data, node._backward], set()
+            while refs:
+                a = refs.pop()
                 if isinstance(a, np.ndarray):
                     kept[id(base(a))] = base(a)
+                elif isinstance(a, types.FunctionType) and id(a) not in seen:
+                    seen.add(id(a))
+                    refs += [c.cell_contents for c in a.__closure__ or ()]
         return sum(a.nbytes for k, a in kept.items() if k not in leaves)
 
     def test_backward_frees_each_node_once_replayed(self, no_gc):
@@ -687,17 +717,28 @@ class TestGraphLifetime:
         # `later` was replayed before `first`, and nothing kept it after
         assert dead == [True]
 
+    def test_attention_keeps_no_weights(self):
+        rng = np.random.default_rng(3)
+        B, T, H, d = 4, 12, 2, 8
+        q, k, v = (Parameter(n, rng.normal(size=(B, T, d))) for n in "qkv")
+        bias = np.zeros((B, 1, 1, T))
+        out = attention(q, k, v, H, bias)
+        # its output, the bias, and each query's row max and row sum: no
+        # [B, heads, T, T] weights (9,216 bytes here), which it once kept
+        assert self._retained_bytes(out) == out.data.nbytes + bias.nbytes + 2 * 8 * B * H * T
+
     def test_mlm_step_keeps_only_what_backward_reads(self, small_vocab, small_chunks):
         model = tiny_model(small_vocab)
         batch = collate(small_chunks[:8], MaskingConfig(), small_vocab,
                         np.random.default_rng(0))
         loss, _ = _mlm_batch_loss(model, batch, "train", np.random.default_rng(1))
-        # 396,520 bytes; with layer norm keeping `xhat` 440,680, and with the
+        # 369,640 bytes; with attention keeping its weights 396,520, with
+        # layer norm keeping `xhat` as well 440,680, and with the
         # last layer, the MLM head and the loss run at every position as well
         # 845,744; with separate head split and join nodes the same graph held
         # 878,640, and with separate dropout, `+` and ReLU nodes and float64
         # dropout masks as well 1,067,056
-        assert self._retained_bytes(loss) <= 396_520
+        assert self._retained_bytes(loss) <= 369_640
 
     def test_mlm_backward_peak_stays_near_the_graph(self, small_vocab, small_chunks, no_gc):
         model = tiny_model(small_vocab)
@@ -712,7 +753,9 @@ class TestGraphLifetime:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # about 1.26 of the bytes traced when backward starts; 1.45 while
+        # about 1.28 of the bytes traced when backward starts (385,304 ->
+        # 492,368); 1.26 (411,520 -> 518,584) while attention kept its
+        # weights, the same backward peak over a larger graph; 1.45 while
         # backward kept every replayed node, layer norm its `xhat` and the
         # loss's backward four [N, V] temporaries
         assert peak / start <= 1.3

@@ -5,13 +5,13 @@ Everything downstream (encoder, heads, losses) is built from the ops here:
 and one node each for `linear`, multi-head `attention`, `residual`, the
 norms, `dropout` and the losses. `linear`, `attention` and `residual` give
 bit for bit the values and gradients of the expressions their docstrings
-state. `attention` keeps no [..., heads, T, S] weights: it runs in blocks of
-batch rows, keeps each query's row max and sum, and backward forms each
-block's weights again from them. All arrays are 64-bit so finite-difference
-checks are meaningful.
+state. `attention` takes [B, T, d] operands and keeps no [B, heads, T, S]
+weights: it runs in blocks of batch rows, keeps each query's row max and sum,
+and backward forms each block's weights again from them. A `grad` is None
+until written. All arrays are 64-bit so finite-difference checks are
+meaningful.
 """
 
-import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -74,7 +74,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
-        self._grad = None
+        self.grad = None  # the accumulated gradient; None until one is written
         self._backward = None
         self._prev = ()
 
@@ -82,33 +82,24 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def grad(self):
-        """The accumulated gradient; None until one is written."""
-        return self._grad
-
-    @grad.setter
-    def grad(self, value):
-        self._grad = value
-
     def _accum(self, g):
         if not self.requires_grad:
             return
         g = _unbroadcast(g, self.data.shape)
-        if self._grad is None:
+        if self.grad is None:
             # a copy, never `g` itself, which `+` hands to both parents;
             # `empty_like` keeps the layout, and so the summation order, of
             # `zeros_like`
-            self._grad = np.empty_like(self.data)
-            np.copyto(self._grad, g)
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
         else:
-            self._grad += g
+            self.grad += g
 
     def zero_grad(self):
-        if self._grad is None:
-            self._grad = np.zeros_like(self.data)
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
         else:
-            self._grad.fill(0.0)
+            self.grad.fill(0.0)
 
     # ---- graph construction helpers -------------------------------------
 
@@ -151,34 +142,24 @@ class Tensor:
         """
         if self.data.ndim != 0 and self.data.size != 1:
             raise ShapeError(f"backward: loss must be scalar, got shape {self.data.shape}")
-        if self._grad is None:
-            self._grad = np.ones_like(self.data)
+        if self.grad is None:
+            self.grad = np.ones_like(self.data)
         tape = _tape(self)
         while tape:
             node = tape.pop()
             if node._prev:
-                if node._grad is not None:
-                    node._backward(node._grad)
-                node._grad, node._prev, node._backward = None, (), None
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad, node._prev, node._backward = None, (), None
 
 
 class Parameter(Tensor):
-    """A named leaf tensor; `requires_grad` is its freeze flag.
-
-    It holds no gradient array until `zero_grad` or a first gradient writes
-    one, or `grad` is read: a read allocates the zeros it returns, so a
-    parameter that nothing trained reads zero gradient. Setting `grad` to
-    None drops the array."""
+    """A named leaf tensor; `requires_grad` is its freeze flag. Its `grad` is
+    None until `zero_grad` or a first gradient writes an array."""
 
     def __init__(self, name, value, trainable=True):
         super().__init__(value, requires_grad=trainable)
         self.name = name
-
-    @Tensor.grad.getter
-    def grad(self):
-        if self._grad is None:
-            self._grad = np.zeros_like(self.data)
-        return self._grad
 
 
 def stable_sigmoid(x):
@@ -229,19 +210,19 @@ ATTN_BLOCK_BYTES = 1 << 20
 
 
 def attention(q, k, v, num_heads, bias=None):
-    """Multi-head attention as one node: q [..., T, d] and k, v [..., S, d]
-    are split into `num_heads` strided head views of width hd, each head gives
-    softmax(q kᵀ / √hd + bias) v, and the heads are joined to [..., T, d].
-    `bias` is a constant that broadcasts to the scores [..., heads, T, S].
+    """Multi-head attention as one node: q [B, T, d] and k, v [B, S, d] are
+    split into `num_heads` strided head views of width hd, each head gives
+    softmax(q kᵀ / √hd + bias) v, and the heads are joined to [B, T, d].
+    `bias` is None or a constant [B, 1, 1, S] added to the scores.
 
-    The heads run over blocks of the first leading axis, each block's weights
-    `p` in one buffer of at most ATTN_BLOCK_BYTES (one row if a row is
-    larger). The node keeps no weights, only each query's row max and row
-    sum ([..., heads, T, 1]): backward forms each block's `p` again in the
+    The heads run over blocks of batch rows, each block's weights `p` in one
+    buffer of at most ATTN_BLOCK_BYTES (one row if a row is larger). The node
+    keeps no weights, only each query's row max and row sum
+    ([B, heads, T, 1]): backward forms each block's `p` again in the
     forward's order (scores, × 1/√hd, + bias, − max, exp, ÷ sum). With
     upstream `g` made contiguous per block, it forms `gs = p * (g vᵀ -
     rowsum(g vᵀ * p)) / √hd` in place and writes `gs @ k`, `(qᵀ @ gs)ᵀ` and
-    `pᵀ @ g` into contiguous [..., T, d]: values and gradients equal those
+    `pᵀ @ g` into contiguous [B, T, d]: values and gradients equal those
     NumPy expressions over the whole batch bit for bit.
     """
     hd = q.data.shape[-1] // num_heads
@@ -252,29 +233,19 @@ def attention(q, k, v, num_heads, bias=None):
         return np.swapaxes(a.reshape(a.shape[:-1] + (num_heads, hd)), -2, -3)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    lead = np.broadcast_shapes(qh.shape[:-3], kh.shape[:-3], vh.shape[:-3])
-    T, S = qh.shape[-2], kh.shape[-2]
-    if lead:
-        row_bytes = 8 * num_heads * T * S * math.prod(lead[1:])
-        n = max(1, ATTN_BLOCK_BYTES // max(row_bytes, 1))
-        blocks = [slice(i, i + n) for i in range(0, lead[0], n)]
-    else:
-        blocks = [...]
-
-    def rows(a, blk):
-        """A block's rows of a [..., heads, X, Y] operand; all of one that
-        broadcasts along the first leading axis."""
-        return a[blk] if a.ndim == len(lead) + 3 and a.shape[0] != 1 else a
-
-    m = np.empty(lead + (num_heads, T, 1))
+    B, _, T, _ = qh.shape
+    S = kh.shape[-2]
+    n = max(1, ATTN_BLOCK_BYTES // max(8 * num_heads * T * S, 1))
+    blocks = [slice(i, i + n) for i in range(0, B, n)]
+    m = np.empty((B, num_heads, T, 1))
     l = np.empty_like(m)
 
     def weights(blk, fresh=False):
         """The block's weights; `fresh` first stores their row max and sum."""
-        p = rows(qh, blk) @ np.swapaxes(rows(kh, blk), -1, -2)
+        p = qh[blk] @ np.swapaxes(kh[blk], -1, -2)
         p *= scale
         if bias is not None:
-            p += rows(bias, blk)
+            p += bias[blk]
         if fresh:
             m[blk] = p.max(axis=-1, keepdims=True)
         p -= m[blk]
@@ -284,28 +255,28 @@ def attention(q, k, v, num_heads, bias=None):
         p /= l[blk]
         return p
 
-    out = np.empty(lead + (T, d))
+    out = np.empty((B, T, d))
     for blk in blocks:
-        np.matmul(weights(blk, fresh=True), rows(vh, blk), out=split(out)[blk])
+        np.matmul(weights(blk, fresh=True), vh[blk], out=split(out)[blk])
 
     def _backward(g):
         g = split(g)
-        gv, gq, gk = (np.empty(lead + (a.shape[-2], d)) if t.requires_grad else None
+        gv, gq, gk = (np.empty((B, a.shape[-2], d)) if t.requires_grad else None
                       for t, a in ((v, vh), (q, qh), (k, kh)))
         for blk in blocks:
             p = weights(blk)
             gb = np.ascontiguousarray(g[blk])
             if gv is not None:
                 np.matmul(np.swapaxes(p, -1, -2), gb, out=split(gv)[blk])
-            gs = gb @ np.swapaxes(rows(vh, blk), -1, -2)
+            gs = gb @ np.swapaxes(vh[blk], -1, -2)
             gs -= (gs * p).sum(axis=-1, keepdims=True)
             gs *= p
             gs *= scale
             del p, gb  # freed before the q and k products are formed
             if gq is not None:
-                np.matmul(gs, rows(kh, blk), out=split(gq)[blk])
+                np.matmul(gs, kh[blk], out=split(gq)[blk])
             if gk is not None:
-                split(gk)[blk] = np.swapaxes(np.swapaxes(rows(qh, blk), -1, -2) @ gs, -1, -2)
+                split(gk)[blk] = np.swapaxes(np.swapaxes(qh[blk], -1, -2) @ gs, -1, -2)
         for t, grad in ((v, gv), (q, gq), (k, gk)):
             if grad is not None:
                 t._accum(grad)
@@ -344,12 +315,6 @@ class BatchNormState:
     def __init__(self, dim):
         self.running_mean = np.zeros(dim, dtype=np.float64)
         self.running_var = np.ones(dim, dtype=np.float64)
-
-    def copy(self):
-        c = BatchNormState(len(self.running_mean))
-        c.running_mean = self.running_mean.copy()
-        c.running_var = self.running_var.copy()
-        return c
 
 
 def batch_norm(x, gamma, beta, state, mode, momentum=0.1, eps=1e-5):
@@ -431,18 +396,18 @@ def residual(x, a, rate, rng, mode, draw=None):
 IGNORE_LABEL = -100
 
 
-def masked_cross_entropy(logits, labels, ignore=IGNORE_LABEL):
-    """Mean cross-entropy in nats over positions whose label != ignore.
+def masked_cross_entropy(logits, labels):
+    """Mean cross-entropy in nats over positions whose label != IGNORE_LABEL.
 
     logits: Tensor [..., V]; labels: integer ndarray of the leading shape,
-    each in [0, V) or `ignore` (else a ValueError names it).
+    each in [0, V) or IGNORE_LABEL (else a ValueError names it).
     Returns a scalar Tensor; zero (no gradient) when nothing is labeled.
     """
     labels = np.asarray(labels)
     V = logits.data.shape[-1]
     flat = logits.data.reshape(-1, V)
     lab = labels.reshape(-1)
-    sel = lab != ignore
+    sel = lab != IGNORE_LABEL
     target = lab[sel]
     bad = (target < 0) | (target >= V)
     if bad.any():

@@ -461,7 +461,7 @@ def main(argv=None):
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

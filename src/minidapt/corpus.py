@@ -114,7 +114,7 @@ def split(docs, spec):
     return shuffled[:c1], shuffled[c1:c2], shuffled[c2:]
 
 
-def chunk_stream(docs, vocab, chunk_size=128):
+def chunk_stream(docs, vocab, chunk_size):
     """Encode, concatenate in document order, cut into full blocks of
     chunk_size; the trailing partial block is dropped."""
     if chunk_size < 2:

@@ -20,11 +20,13 @@ from conftest import FD_TOL, tiny_model
 
 
 def softmax_rows(x):
-    """Softmax over the last axis, read through one-head `attention`: with k
-    √n times the identity and v the identity, the scores are x (to rounding,
-    since the node scales them by 1/√n) and the output is the weights."""
-    eye = np.eye(x.shape[-1])
-    return attention(x, Tensor(eye * np.sqrt(len(eye))), Tensor(eye), 1)
+    """Softmax over the last axis of x [B, T, n], read through one-head
+    `attention`: with each row's k √n times the identity and v the identity,
+    the scores are x (to rounding, since the node scales them by 1/√n) and
+    the output is the weights."""
+    B, _, n = x.shape
+    eye = np.broadcast_to(np.eye(n), (B, n, n))
+    return attention(x, Tensor(eye * np.sqrt(n)), Tensor(eye), 1)
 
 
 def dot(t, c):
@@ -36,14 +38,14 @@ class TestSoftmaxRows:
     """The softmax over rows inside `attention`."""
 
     def test_uniform(self):
-        assert_allclose(softmax_rows(Tensor([[0.0, 0.0, 0.0]])).data, [[1 / 3] * 3])
+        assert_allclose(softmax_rows(Tensor([[[0.0, 0.0, 0.0]]])).data, [[[1 / 3] * 3]])
 
     def test_analytic(self):
-        out = softmax_rows(Tensor([[0.0, np.log(2.0)]]))
-        assert_allclose(out.data, [[1 / 3, 2 / 3]], atol=1e-15)
+        out = softmax_rows(Tensor([[[0.0, np.log(2.0)]]]))
+        assert_allclose(out.data, [[[1 / 3, 2 / 3]]], atol=1e-15)
 
     def test_shift_invariance(self):
-        x = np.array([[0.3, -1.2, 2.5]])
+        x = np.array([[[0.3, -1.2, 2.5]]])
         assert_allclose(softmax_rows(Tensor(x)).data,
                         softmax_rows(Tensor(x + 1000.0)).data, atol=1e-15)
 
@@ -51,7 +53,7 @@ class TestSoftmaxRows:
     @settings(max_examples=30, deadline=None)
     def test_rows_sum_to_one(self, seed):
         rng = np.random.default_rng(seed)
-        x = rng.uniform(-700, 700, size=(4, 6))
+        x = rng.uniform(-700, 700, size=(2, 2, 6))
         sums = softmax_rows(Tensor(x)).data.sum(axis=-1)
         assert np.all(np.abs(sums - 1.0) <= 1e-12)
 
@@ -138,11 +140,11 @@ class TestBackward:
         with pytest.raises(ShapeError):
             (w + w).backward()
 
-    def test_frozen_parameter_keeps_zero_grad(self):
+    def test_frozen_parameter_gets_no_grad(self):
         w = Parameter("w", np.ones(3), trainable=False)
         u = Parameter("u", np.ones(3))
         dot(w + u, np.array([1.0, 2.0, 3.0])).backward()
-        assert_allclose(w.grad, np.zeros(3))
+        assert w.grad is None
         assert_allclose(u.grad, [1.0, 2.0, 3.0])
 
     def test_reused_node_accumulates(self):
@@ -183,6 +185,7 @@ class TestBackward:
 
     def test_zero_grads_keeps_each_grad_array(self, small_vocab):
         model = tiny_model(small_vocab)
+        model.zero_grads()
         before = {n: p.grad for n, p in model.params.items()}
         ids = np.random.default_rng(0).integers(5, small_vocab.size, size=(2, 6))
         logits = model.mlm_logits(model.encode_forward(ids))
@@ -426,17 +429,17 @@ class TestFusedMatchesUnfused:
         assert np.array_equal(fused.data, value)
         assert all(np.array_equal(f, r) for f, r in zip(self._grads(dot(fused, c), qkv), grads))
 
-    # (B, T, S, 2-D k, pad bias): an uneven split of B, masked queries, one
-    # row, a k shared by every row, and no queries
-    @pytest.mark.parametrize("B, T, S, k2d, padded", [
+    # (B, T, S, frozen k, pad bias): an uneven split of B, masked queries,
+    # one row, a k that takes no gradient with no bias, and no queries
+    @pytest.mark.parametrize("B, T, S, k_frozen, padded", [
         (5, 6, 6, False, True), (5, 3, 6, False, True), (1, 6, 6, False, True),
         (5, 6, 6, True, False), (3, 0, 6, False, True)])
-    def test_attention_in_row_blocks(self, monkeypatch, B, T, S, k2d, padded):
+    def test_attention_in_row_blocks(self, monkeypatch, B, T, S, k_frozen, padded):
         H, hd = 3, 4
         # two rows' weights per block, so B = 5 runs as 2 + 2 + 1
         monkeypatch.setattr("minidapt.autodiff.ATTN_BLOCK_BYTES", 2 * 8 * H * T * S)
         q = Parameter("q", self.rng.normal(size=(B, T, H * hd)))
-        k = Parameter("k", self.rng.normal(size=(S, H * hd) if k2d else (B, S, H * hd)))
+        k = Parameter("k", self.rng.normal(size=(B, S, H * hd)), trainable=not k_frozen)
         v = Parameter("v", self.rng.normal(size=(B, S, H * hd)))
         bias = None
         if padded:
@@ -444,11 +447,12 @@ class TestFusedMatchesUnfused:
             bias = bias[:, None, None, :]
         c = self.rng.normal(size=(B, T, H * hd))
         fused = attention(q, k, v, H, bias)
-        value, (gq, gk, gv) = reference_attention(
-            q.data, np.broadcast_to(k.data, v.shape), v.data, H, bias, c)
+        value, (gq, gk, gv) = reference_attention(q.data, k.data, v.data, H, bias, c)
         assert np.array_equal(fused.data, value)
         grads = self._grads(dot(fused, c), [q, k, v])
-        assert all(np.array_equal(f, r) for f, r in zip(grads, [gq, _unbroadcast(gk, k.shape), gv]))
+        if k_frozen:
+            gk = np.zeros_like(gk)  # `_grads` zeroed it and nothing wrote it
+        assert all(np.array_equal(f, r) for f, r in zip(grads, [gq, gk, gv]))
 
     @pytest.mark.parametrize("ndim", [2, 3])
     def test_layer_norm(self, ndim):
@@ -488,8 +492,8 @@ class TestPrimitiveGradients:
 
     def test_softmax(self):
         rng = np.random.default_rng([42, 1])
-        x = Parameter("x", rng.normal(size=(3, 5)))
-        c = rng.normal(size=(3, 5))
+        x = Parameter("x", rng.normal(size=(1, 3, 5)))
+        c = rng.normal(size=(1, 3, 5))
         assert grad_check(lambda: dot(softmax_rows(x), c), [x]) < FD_TOL
 
     @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)])
@@ -590,12 +594,12 @@ class TestPrimitiveGradients:
 
     def test_add_broadcast_constant(self):
         rng = np.random.default_rng([42, 13])
-        # the attention pad bias: a constant [B,1,1,T] operand, plus a
+        # a constant [B,1,T] operand like the attention pad bias, plus a
         # parameter that broadcasts too
-        x = Parameter("x", rng.normal(size=(2, 3, 4, 5)))
+        x = Parameter("x", rng.normal(size=(2, 4, 5)))
         b = Parameter("b", rng.normal(size=(1, 5)))
-        bias = rng.normal(size=(2, 1, 1, 5))
-        c = rng.normal(size=(2, 3, 4, 5))
+        bias = rng.normal(size=(2, 1, 5))
+        c = rng.normal(size=(2, 4, 5))
         assert grad_check(lambda: dot(softmax_rows(x + Tensor(bias) + b), c), [x, b]) < FD_TOL
 
 

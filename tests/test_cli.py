@@ -408,6 +408,19 @@ class TestVocabularyFitsCheckpoint:
         assert not os.path.exists(tmp_path / "out" / "report.json")
 
 
+@pytest.mark.parametrize("command", ["adapt", "finetune"])
+def test_encoder_too_large_to_allocate_exits_2(ws, tmp_path, capsys, command):
+    # 2**40 columns: the embedding (1.6 PiB) is larger than the address
+    # space, so the allocation fails at once and touches no memory
+    argv = {"adapt": ["adapt", "--corpus", ws["corpus_b"]],
+            "finetune": ["finetune", "--dataset", ws["dataset"], "--base", "vanilla"]}[command]
+    code = run(*argv, "--vocab", ws["vocab_path"], "--seed", 7, "--out", tmp_path, *TINY,
+               "--set", f"encoder.d_model={2**40}")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.fixture(scope="class")
 def quick_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("quick")

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import weakref
@@ -219,7 +220,7 @@ class TestFinetuneStaged:
         fresh = Checkpoint(tiny_model(small_vocab, seed=1))
         for name, p in adapted.model.params.items():
             fresh.model.params[name].data = p.data.copy()
-        fresh.model.bn_states = {k: s.copy() for k, s in adapted.model.bn_states.items()}
+        fresh.model.bn_states = copy.deepcopy(adapted.model.bn_states)
         parts = split_docs(separable_dataset(seed=1))
         cfg = tiny_train_config()
         out_a, curves_a = finetune_staged(adapted, parts, cfg, small_vocab)
@@ -453,6 +454,7 @@ class TestComputeOnlyWhatIsRead:
         results = []
         for b_ids, b_mask in ((ids, mask), _trim(ids, mask)):
             model = tiny_model(small_vocab, dropout_rate=0.0)
+            model.zero_grads()
             rng = np.random.default_rng(3)
             hidden = model.encode_forward(b_ids, pad_mask=b_mask, mode="train", rng=rng)
             loss = bce_with_logits(model.classify_logits(hidden, "train", rng), labels)
@@ -471,6 +473,7 @@ class TestComputeOnlyWhatIsRead:
         results = []
         for gathered in (True, False):
             model = tiny_model(small_vocab)
+            model.zero_grads()
             rng = np.random.default_rng(5)
             if gathered:
                 loss, _ = _mlm_batch_loss(model, batch, "train", rng)

@@ -157,8 +157,8 @@ class Parameter(Tensor):
     """A named leaf tensor; `requires_grad` is its freeze flag. Its `grad` is
     None until `zero_grad` or a first gradient writes an array."""
 
-    def __init__(self, name, value, trainable=True):
-        super().__init__(value, requires_grad=trainable)
+    def __init__(self, name, value):
+        super().__init__(value, requires_grad=True)
         self.name = name
 
 
@@ -450,34 +450,3 @@ def bce_with_logits(logits, targets):
 
     return logits._child(loss, (logits,), _backward)
 
-
-def grad_check(f, params, fd_step=1e-5):
-    """Max relative error between analytic gradients and central differences.
-
-    f: zero-argument callable returning a scalar Tensor built from `params`.
-    """
-    for p in params:
-        p.zero_grad()
-    out = f()
-    if not np.isfinite(out.data):
-        raise ValueError("grad_check: non-finite objective")
-    out.backward()
-    analytic = [p.grad.copy() for p in params]
-
-    worst = 0.0
-    for p, a in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        aflat = a.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + fd_step
-            hi = float(f().data)
-            flat[i] = orig - fd_step
-            lo = float(f().data)
-            flat[i] = orig
-            if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise ValueError("grad_check: non-finite objective during perturbation")
-            fd = (hi - lo) / (2 * fd_step)
-            denom = max(abs(aflat[i]), abs(fd), 1e-8)
-            worst = max(worst, abs(aflat[i] - fd) / denom)
-    return worst

@@ -148,12 +148,3 @@ def save_baseline(tfidf, lsvm, path):
     with open(path, "w", encoding="utf-8") as f:
         json.dump(obj, f, ensure_ascii=False)
 
-
-def load_baseline(path):
-    with open(path, encoding="utf-8") as f:
-        obj = json.load(f)
-    tfidf = TfIdfModel(term_index={t: i for i, t in enumerate(obj["terms"])},
-                       idf=np.array(obj["idf"]))
-    lsvm = LsvmModel(weights=np.array(obj["weights"]), bias=obj["bias"],
-                     lam=obj["lambda"], epochs_trained=obj["epochs"])
-    return tfidf, lsvm

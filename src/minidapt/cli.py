@@ -153,9 +153,20 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _out_dir(args):
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
+def _first_output(out, name):
+    """The path of `name` in directory `out`, made here: each command calls
+    this at its first write, so one that fails before it leaves no empty
+    directory behind."""
+    os.makedirs(out, exist_ok=True)
+    return os.path.join(out, name)
+
+
+def _labeled_documents(path):
+    """The records at `path`, every one of which must carry a label."""
+    docs = load_documents(path, _load_format(path))
+    if any(d.label is None for d in docs):
+        raise CliError(f"{path}: missing label on one or more records")
+    return docs
 
 
 def _write_manifest(out, cfg, keys, inputs, extra=None):
@@ -191,20 +202,19 @@ def _load_format(path):
 
 def cmd_fixtures(args):
     cfg = resolve_config(args)
-    out = _out_dir(args)
-    paths = fixtures.generate_all(out, cfg["seed"])
+    paths = fixtures.generate_all(args.out, cfg["seed"])
     print("\n".join(f"{k}: {v}" for k, v in sorted(paths.items())))
     return 0
 
 
 def cmd_vocab(args):
     cfg = resolve_config(args)
-    out = _out_dir(args)
+    out = args.out
     docs = []
     for path in args.corpus:
         docs.extend(load_documents(path, _load_format(path)))
     vocab = train_vocab([d.text for d in docs], cfg["vocab_target_size"])
-    vocab_path = os.path.join(out, "vocab.json")
+    vocab_path = _first_output(out, "vocab.json")
     vocab.save(vocab_path)
     ids = [i for d in docs for i in encode(vocab, d.text).ids]
     total, unk = len(ids), ids.count(vocab.unk_id)
@@ -233,7 +243,7 @@ def _load_checkpoint(path, vocab, vocab_path):
 
 def cmd_adapt(args):
     cfg = resolve_config(args)
-    out = _out_dir(args)
+    out = args.out
     vocab = Vocabulary.load(args.vocab)
     docs = load_documents(args.corpus, _load_format(args.corpus))
     keys = ["seed", "chunk_size", "mlm_split", "mlm", "masking"]
@@ -248,7 +258,7 @@ def cmd_adapt(args):
         init = _fresh_checkpoint(cfg, vocab)
         keys.append("encoder")
     ckpt, curves = adapt_mlm(init, chunk_parts, tc, vocab)
-    ckpt_path = os.path.join(out, "adapted.ckpt")
+    ckpt_path = _first_output(out, "adapted.ckpt")
     ckpt.save(ckpt_path)
     write_curves(curves, os.path.join(out, "curves.csv"))
     report = evaluate(ckpt, chunk_parts[2], "mlm", tc, vocab)
@@ -262,11 +272,9 @@ def cmd_adapt(args):
 
 def cmd_finetune(args):
     cfg = resolve_config(args)
-    out = _out_dir(args)
+    out = args.out
     vocab = Vocabulary.load(args.vocab)
-    docs = load_documents(args.dataset, _load_format(args.dataset))
-    if any(d.label is None for d in docs):
-        raise CliError(f"{args.dataset}: missing label on one or more records")
+    docs = _labeled_documents(args.dataset)
     keys = ["seed", "cls_split", "finetune"]
     tc = _train_config(cfg, keys)
     (train_docs, val_docs, test_docs), idx = _cls_splits(docs, cfg)
@@ -278,7 +286,7 @@ def cmd_finetune(args):
         base = _load_checkpoint(args.base, vocab, args.vocab)
         inputs["base"] = args.base
     ckpt, curves = finetune_staged(base, (train_docs, val_docs, test_docs), tc, vocab)
-    ckpt_path = os.path.join(out, "classifier.ckpt")
+    ckpt_path = _first_output(out, "classifier.ckpt")
     ckpt.save(ckpt_path)
     write_curves(curves, os.path.join(out, "curves.csv"))
     report = evaluate(ckpt, test_docs, "classify", tc, vocab)
@@ -293,7 +301,7 @@ def cmd_finetune(args):
 
 def cmd_evaluate(args):
     cfg = resolve_config(args)
-    out = _out_dir(args)
+    out = args.out
     vocab = Vocabulary.load(args.vocab)
     ckpt = _load_checkpoint(args.ckpt, vocab, args.vocab)
     docs = load_documents(args.data, _load_format(args.data))
@@ -302,7 +310,7 @@ def cmd_evaluate(args):
     tc = _train_config(cfg, keys)
     data = chunk_stream(docs, vocab, tc.chunk_size) if mlm else docs
     report = evaluate(ckpt, data, args.task, tc, vocab)
-    report_path = os.path.join(out, "report.json")
+    report_path = _first_output(out, "report.json")
     report.save(report_path)
     _write_manifest(out, cfg, keys, {"vocab": args.vocab, "ckpt": args.ckpt, "data": args.data},
                     {"outputs": ["report.json"]})
@@ -314,10 +322,8 @@ def cmd_baseline(args):
     cfg = resolve_config(args)
     if cfg["baseline"]["epochs"] < 1:
         raise CliError("baseline.epochs must be at least 1")
-    out = _out_dir(args)
-    docs = load_documents(args.dataset, _load_format(args.dataset))
-    if any(d.label is None for d in docs):
-        raise CliError(f"{args.dataset}: missing label on one or more records")
+    out = args.out
+    docs = _labeled_documents(args.dataset)
     (train_docs, val_docs, test_docs), idx = _cls_splits(docs, cfg)
     for part, name in [(train_docs, "train"), (val_docs, "val")]:
         if len({d.label for d in part}) < 2:
@@ -331,7 +337,7 @@ def cmd_baseline(args):
                              tuple(cfg["baseline"]["lambda_grid"]),
                              cfg["baseline"]["epochs"], seed=cfg["seed"])
     report = classification_report(lsvm.predict(X_te), y(test_docs))
-    bl.save_baseline(tfidf, lsvm, os.path.join(out, "baseline.json"))
+    bl.save_baseline(tfidf, lsvm, _first_output(out, "baseline.json"))
     report.save(os.path.join(out, "report.json"))
     _write_manifest(out, cfg, ["seed", "cls_split", "baseline"], {"dataset": args.dataset},
                     {"outputs": ["baseline.json", "report.json"],
@@ -385,8 +391,7 @@ def cmd_compare(args):
                                "not a finite number)", code=1)
         reports.append((name, rep))
     text, csv_text = compare_table(reports)
-    out = _out_dir(args)
-    with open(os.path.join(out, "comparison.csv"), "w", encoding="utf-8") as f:
+    with open(_first_output(args.out, "comparison.csv"), "w", encoding="utf-8") as f:
         f.write(csv_text)
     print(text)
     return 0

@@ -1,9 +1,10 @@
-"""Synthetic corpora for tests and the acceptance suite.
+"""Synthetic corpora for the pipeline and the tests.
 
 Two word inventories with disjoint character sets stand in for a general
 domain (A) and a target domain (B); the labeled dataset ties labels to
-domain-B vocabulary, and the separable dataset plants marker words so a
-bag-of-words linear rule classifies it perfectly.
+domain-B vocabulary. The marker words are reserved: no lexicon draws them,
+so a dataset that plants them can be classified perfectly by a
+bag-of-words linear rule.
 """
 
 import json
@@ -69,25 +70,6 @@ def classification_dataset(seed, n=120, words_per_doc=(20, 40), lexicon_size=40)
     return docs
 
 
-def separable_dataset(seed, n=64, words_per_doc=(10, 20), lexicon_size=30):
-    """Bag-of-words linearly separable: every fake doc carries fake-marker
-    words and no true markers, and vice versa."""
-    rng = np.random.default_rng([seed, 12])
-    common = _lexicon(rng, _SYLLABLES_A, lexicon_size)
-    docs = []
-    for i in range(n):
-        label = i % 2
-        markers = FAKE_MARKERS if label == 1 else TRUE_MARKERS
-        n_words = int(rng.integers(*words_per_doc))
-        body = _doc(rng, common, n_words).split(" ")
-        k = int(rng.integers(2, 4))
-        for _ in range(k):
-            body.insert(int(rng.integers(len(body) + 1)),
-                        markers[int(rng.integers(len(markers)))])
-        docs.append(Document(text=" ".join(body), label=label))
-    return docs
-
-
 def write_jsonl(docs, path):
     with open(path, "w", encoding="utf-8") as f:
         for d in docs:
@@ -100,15 +82,15 @@ def write_jsonl(docs, path):
 
 
 def generate_all(out_dir, seed):
-    """Write the fixture files used by the acceptance suite; returns paths."""
+    """Write the pipeline's inputs: both corpora and the labeled dataset;
+    returns their paths."""
     import os
     os.makedirs(out_dir, exist_ok=True)
     docs_a, docs_b = two_domain_corpus(seed)
     dataset = classification_dataset(seed)
-    sep = separable_dataset(seed)
     paths = {}
     for name, docs in [("corpus_a", docs_a), ("corpus_b", docs_b),
-                       ("dataset", dataset), ("separable", sep)]:
+                       ("dataset", dataset)]:
         path = os.path.join(out_dir, f"{name}.jsonl")
         write_jsonl(docs, path)
         paths[name] = path

@@ -124,9 +124,6 @@ class TransformerModel:
         return [n for n in self.params
                 if not (n.startswith("head.") or n.startswith("mlm."))]
 
-    def head_param_names(self):
-        return [n for n in self.params if n.startswith("head.")]
-
     def zero_grads(self):
         """Zero every trainable parameter's gradient; a frozen one is never
         written, so it keeps no array."""
@@ -137,24 +134,20 @@ class TransformerModel:
     # ---- forward passes --------------------------------------------------
 
     def encode_forward(self, ids, pad_mask=None, mode="eval", rng=None):
-        """ids: int ndarray [B, T]; pad_mask: bool [B, T], True at real tokens.
-        Returns hidden Tensor [B, T, d]."""
-        return self._encode(ids, pad_mask, mode, rng, None)
+        """Every position's hidden state [B, T, d]: `encode_at` with each
+        position as a query. Kept only for the benchmark's checks, which call
+        it; the pipeline calls `encode_cls` and `encode_at`."""
+        B, T = np.shape(ids)
+        return self.encode_at(ids, np.broadcast_to(np.arange(T), (B, T)), pad_mask, mode, rng)
 
     def encode_at(self, ids, queries, pad_mask=None, mode="eval", rng=None):
         """The hidden states [B, L, d] at positions `queries` (int [B, L]) of
-        each row: the last layer runs ln1, K and V at every position and the
-        rest at the queries only, with the full path's dropout draws, so the
-        result equals `encode_forward(...)` gathered at the queries up to
-        summation order."""
-        return self._encode(ids, pad_mask, mode, rng, queries)
-
-    def encode_cls(self, ids, pad_mask=None, mode="eval", rng=None):
-        """The CLS slot's hidden state [B, 1, d], all the classifier head reads:
-        `encode_at` with query 0 in every row."""
-        return self._encode(ids, pad_mask, mode, rng, np.zeros((len(ids), 1), dtype=np.intp))
-
-    def _encode(self, ids, pad_mask, mode, rng, queries):
+        each row; ids: int [B, T]; pad_mask: bool [B, T], True at real
+        tokens. Every layer but the last runs at all T positions. The last
+        runs ln1, K and V at every position and the rest at the queries only,
+        drawing its dropout masks at the full [B, T, d] shape and gathering
+        them: the rng stream does not depend on which positions are queried,
+        and a position's result does so only up to summation order."""
         cfg = self.config
         ids = np.asarray(ids)
         B, T = ids.shape
@@ -162,13 +155,12 @@ class TransformerModel:
             raise ValueError(f"sequence length {T} exceeds max_len {cfg.max_len}")
         if np.any(ids < 0) or np.any(ids >= cfg.vocab_size):
             raise ValueError("token id out of range")
-        if queries is not None:
-            queries = np.asarray(queries)
-            if queries.ndim != 2 or len(queries) != B:
-                raise ValueError(f"queries must have shape [{B}, L], got {queries.shape}")
-            if np.any(queries < 0) or np.any(queries >= T):
-                raise ValueError("query position out of range")
-            at = (np.arange(B)[:, None], queries)
+        queries = np.asarray(queries)
+        if queries.ndim != 2 or len(queries) != B:
+            raise ValueError(f"queries must have shape [{B}, L], got {queries.shape}")
+        if np.any(queries < 0) or np.any(queries >= T):
+            raise ValueError("query position out of range")
+        at = (np.arange(B)[:, None], queries)
         P = self.params
         x = P["embed.tok"][ids] + P["embed.pos"][:T]
         if pad_mask is None:
@@ -180,7 +172,7 @@ class TransformerModel:
         for i in range(cfg.num_layers):
             p = f"layer{i}"
             h = layer_norm(x, P[f"{p}.ln1.gamma"], P[f"{p}.ln1.beta"])
-            last = queries is not None and i == cfg.num_layers - 1
+            last = i == cfg.num_layers - 1
             q = linear(h[at] if last else h, P[f"{p}.attn.wq"], P[f"{p}.attn.wq_b"])
             k, v = (linear(h, P[f"{p}.attn.{n}"], P[f"{p}.attn.{n}_b"]) for n in ("wk", "wv"))
             if last:
@@ -193,6 +185,11 @@ class TransformerModel:
             ff = linear(ff, P[f"{p}.ffn.w2"], P[f"{p}.ffn.b2"])
             x = residual(x, ff, cfg.dropout_rate, rng, mode, draw)
         return layer_norm(x, P["final_ln.gamma"], P["final_ln.beta"])
+
+    def encode_cls(self, ids, pad_mask=None, mode="eval", rng=None):
+        """The CLS slot's hidden state [B, 1, d], all the classifier head reads:
+        `encode_at` with query 0 in every row."""
+        return self.encode_at(ids, np.zeros((len(ids), 1), dtype=np.intp), pad_mask, mode, rng)
 
     def mlm_logits(self, hidden):
         return linear(hidden, self.params["mlm.w"], self.params["mlm.b"])

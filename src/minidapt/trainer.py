@@ -315,14 +315,12 @@ def finetune_staged(base, dataset_splits, cfg, vocab):
 
 def evaluate(ckpt, testset, task, cfg, vocab):
     """EvalReport on held-out data: perplexity for mlm, classification metrics otherwise."""
+    if not testset:
+        raise ValueError("evaluate: empty test set")
     if task == "mlm":
-        if not testset:
-            raise ValueError("evaluate: empty test set")
         nats = mlm_validation_loss(ckpt, testset, cfg, vocab)
         return mlm_report(nats, len(testset))
     elif task == "classify":
-        if not testset:
-            raise ValueError("evaluate: empty test set")
         ids, mask, labels = encode_examples(testset, vocab, ckpt.model.config.max_len)
         rows = _cls_rows(ckpt.model, ids, mask, cfg.finetune.batch_size)
         return _head_eval(ckpt.model, rows, labels, cfg.finetune.batch_size)[1]

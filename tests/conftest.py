@@ -5,13 +5,34 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from minidapt.autodiff import _unbroadcast
 from minidapt.checkpoint import MAGIC, Checkpoint
-from minidapt.corpus import chunk_stream
-from minidapt.fixtures import separable_dataset, two_domain_corpus
+from minidapt.corpus import Document, chunk_stream
+from minidapt.fixtures import (_SYLLABLES_A, FAKE_MARKERS, TRUE_MARKERS, _doc, _lexicon,
+                               two_domain_corpus)
 from minidapt.masking import MaskingConfig
 from minidapt.model import EncoderConfig, TransformerModel
 from minidapt.tokenizer import train_vocab
 from minidapt.trainer import FinetuneConfig, MLMConfig, TrainConfig
+
+
+def separable_dataset(seed, n=64, words_per_doc=(10, 20), lexicon_size=30):
+    """Bag-of-words linearly separable: every fake doc carries fake-marker
+    words and no true markers, and vice versa."""
+    rng = np.random.default_rng([seed, 12])
+    common = _lexicon(rng, _SYLLABLES_A, lexicon_size)
+    docs = []
+    for i in range(n):
+        label = i % 2
+        markers = FAKE_MARKERS if label == 1 else TRUE_MARKERS
+        n_words = int(rng.integers(*words_per_doc))
+        body = _doc(rng, common, n_words).split(" ")
+        k = int(rng.integers(2, 4))
+        for _ in range(k):
+            body.insert(int(rng.integers(len(body) + 1)),
+                        markers[int(rng.integers(len(markers)))])
+        docs.append(Document(text=" ".join(body), label=label))
+    return docs
 
 
 @pytest.fixture(scope="session")
@@ -27,8 +48,93 @@ def small_chunks(small_vocab):
     return chunk_stream(docs_b, small_vocab, 32)
 
 
-# the finite-difference checks' invariant tolerance, at grad_check's step 1e-5
+# the finite-difference checks' invariant tolerance, at the step 1e-5 that
+# `grad_check` below takes by default
 FD_TOL = 1e-4
+
+
+def grad_check(f, params, fd_step=1e-5):
+    """Max relative error between analytic gradients and central differences.
+
+    f: zero-argument callable returning a scalar Tensor built from `params`.
+    """
+    for p in params:
+        p.zero_grad()
+    out = f()
+    if not np.isfinite(out.data):
+        raise ValueError("grad_check: non-finite objective")
+    out.backward()
+    analytic = [p.grad.copy() for p in params]
+
+    worst = 0.0
+    for p, a in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        aflat = a.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + fd_step
+            hi = float(f().data)
+            flat[i] = orig - fd_step
+            lo = float(f().data)
+            flat[i] = orig
+            if not (np.isfinite(hi) and np.isfinite(lo)):
+                raise ValueError("grad_check: non-finite objective during perturbation")
+            fd = (hi - lo) / (2 * fd_step)
+            denom = max(abs(aflat[i]), abs(fd), 1e-8)
+            worst = max(worst, abs(aflat[i] - fd) / denom)
+    return worst
+
+
+def reference_linear(x, w, b, relu, c):
+    """`linear`'s value and its x, w, b gradients for upstream `c`, in NumPy."""
+    z = x @ w + b
+    g = c
+    if relu:
+        g = g * (z > 0)
+        z = np.maximum(z, 0.0)
+    return z, [g @ w.T, _unbroadcast(np.swapaxes(x, -1, -2) @ g, w.shape),
+               _unbroadcast(g, b.shape)]
+
+
+def reference_attention(q, k, v, num_heads, bias, c):
+    """`attention`'s value and its q, k, v gradients for upstream `c`, in
+    NumPy: [B, T, d] split into [B, heads, T, hd] views (`c` copied
+    contiguous), the scores, a max-shifted row softmax and their VJP, each
+    joined back to [B, T, d]."""
+    B, T, d = q.shape
+    hd = d // num_heads
+
+    def split(a):
+        return a.reshape(B, -1, num_heads, hd).transpose(0, 2, 1, 3)
+
+    def join(a):
+        return a.transpose(0, 2, 1, 3).reshape(B, -1, d)
+
+    q, k, v, c = split(q), split(k), split(v), np.ascontiguousarray(split(c))
+    scale = 1.0 / np.sqrt(hd)
+    s = (q @ np.swapaxes(k, -1, -2)) * scale
+    if bias is not None:
+        s = s + bias
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    gp = c @ np.swapaxes(v, -1, -2)
+    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+    return join(p @ v), [join(gs @ k), join(np.swapaxes(np.swapaxes(q, -1, -2) @ gs, -1, -2)),
+                         join(np.swapaxes(p, -1, -2) @ c)]
+
+
+def reference_layer_norm(x, gamma, beta, c, eps=1e-5):
+    """`layer_norm`'s value and its x, gamma, beta gradients for upstream
+    `c`, in NumPy, from a kept `xhat`."""
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    xhat = (x - mu) * inv
+    d, sum_axes = x.shape[-1], tuple(range(c.ndim - 1))
+    gx = c * gamma
+    return xhat * gamma + beta, [
+        inv / d * (d * gx - gx.sum(axis=-1, keepdims=True)
+                   - xhat * (gx * xhat).sum(axis=-1, keepdims=True)),
+        (c * xhat).sum(axis=sum_axes), c.sum(axis=sum_axes)]
 
 
 def tiny_model(vocab, seed=0, **kw):

@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from minidapt.autodiff import (IGNORE_LABEL, BatchNormState, Parameter, ShapeError, Tensor, _tape,
-                               _unbroadcast, attention, batch_norm, bce_with_logits, dropout,
-                               grad_check, layer_norm, linear, masked_cross_entropy, no_grad,
-                               residual, stable_sigmoid)
+                               attention, batch_norm, bce_with_logits, dropout, layer_norm, linear,
+                               masked_cross_entropy, no_grad, residual, stable_sigmoid)
 from minidapt.masking import MaskingConfig, collate
 from minidapt.model import ATTN_MASK_BIAS
 from minidapt.trainer import _mlm_batch_loss
 
-from conftest import FD_TOL, tiny_model
+from conftest import (FD_TOL, grad_check, reference_attention, reference_layer_norm,
+                      reference_linear, tiny_model)
 
 
 def softmax_rows(x):
@@ -141,7 +141,8 @@ class TestBackward:
             (w + w).backward()
 
     def test_frozen_parameter_gets_no_grad(self):
-        w = Parameter("w", np.ones(3), trainable=False)
+        w = Parameter("w", np.ones(3))
+        w.requires_grad = False
         u = Parameter("u", np.ones(3))
         dot(w + u, np.array([1.0, 2.0, 3.0])).backward()
         assert w.grad is None
@@ -272,58 +273,6 @@ class TestNoGrad:
         assert out._prev and out.requires_grad
 
 
-def reference_linear(x, w, b, relu, c):
-    """`linear`'s value and its x, w, b gradients for upstream `c`, in NumPy."""
-    z = x @ w + b
-    g = c
-    if relu:
-        g = g * (z > 0)
-        z = np.maximum(z, 0.0)
-    return z, [g @ w.T, _unbroadcast(np.swapaxes(x, -1, -2) @ g, w.shape),
-               _unbroadcast(g, b.shape)]
-
-
-def reference_attention(q, k, v, num_heads, bias, c):
-    """`attention`'s value and its q, k, v gradients for upstream `c`, in
-    NumPy: [B, T, d] split into [B, heads, T, hd] views (`c` copied
-    contiguous), the scores, a max-shifted row softmax and their VJP, each
-    joined back to [B, T, d]."""
-    B, T, d = q.shape
-    hd = d // num_heads
-
-    def split(a):
-        return a.reshape(B, -1, num_heads, hd).transpose(0, 2, 1, 3)
-
-    def join(a):
-        return a.transpose(0, 2, 1, 3).reshape(B, -1, d)
-
-    q, k, v, c = split(q), split(k), split(v), np.ascontiguousarray(split(c))
-    scale = 1.0 / np.sqrt(hd)
-    s = (q @ np.swapaxes(k, -1, -2)) * scale
-    if bias is not None:
-        s = s + bias
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-    gp = c @ np.swapaxes(v, -1, -2)
-    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
-    return join(p @ v), [join(gs @ k), join(np.swapaxes(np.swapaxes(q, -1, -2) @ gs, -1, -2)),
-                         join(np.swapaxes(p, -1, -2) @ c)]
-
-
-def reference_layer_norm(x, gamma, beta, c, eps=1e-5):
-    """`layer_norm`'s value and its x, gamma, beta gradients for upstream
-    `c`, in NumPy, from a kept `xhat`."""
-    mu = x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
-    xhat = (x - mu) * inv
-    d, sum_axes = x.shape[-1], tuple(range(c.ndim - 1))
-    gx = c * gamma
-    return xhat * gamma + beta, [
-        inv / d * (d * gx - gx.sum(axis=-1, keepdims=True)
-                   - xhat * (gx * xhat).sum(axis=-1, keepdims=True)),
-        (c * xhat).sum(axis=sum_axes), c.sum(axis=sum_axes)]
-
-
 def reference_masked_cross_entropy_grad(logits, labels, g):
     """`masked_cross_entropy`'s logits gradient for upstream `g`, in NumPy:
     (softmax - onehot) / n at the labelled rows, zero elsewhere, times g."""
@@ -439,7 +388,8 @@ class TestFusedMatchesUnfused:
         # two rows' weights per block, so B = 5 runs as 2 + 2 + 1
         monkeypatch.setattr("minidapt.autodiff.ATTN_BLOCK_BYTES", 2 * 8 * H * T * S)
         q = Parameter("q", self.rng.normal(size=(B, T, H * hd)))
-        k = Parameter("k", self.rng.normal(size=(B, S, H * hd)), trainable=not k_frozen)
+        k = Parameter("k", self.rng.normal(size=(B, S, H * hd)))
+        k.requires_grad = not k_frozen
         v = Parameter("v", self.rng.normal(size=(B, S, H * hd)))
         bias = None
         if padded:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from minidapt import baseline
-from minidapt.baseline import (DEFAULT_LAMBDA_GRID, fit_tfidf, load_baseline,
-                               save_baseline, train_lsvm, transform,
-                               transform_all, tune_lsvm)
-from minidapt.fixtures import separable_dataset
+from minidapt.baseline import (DEFAULT_LAMBDA_GRID, fit_tfidf, save_baseline, train_lsvm,
+                               transform, transform_all, tune_lsvm)
+
+from conftest import separable_dataset
 
 
 class TestFitTfidf:
@@ -261,8 +262,8 @@ class TestSerialization:
                          0.01, 10, seed=0)
         path = tmp_path / "baseline.json"
         save_baseline(tfidf, svm, path)
-        tfidf2, svm2 = load_baseline(path)
-        assert tfidf2.term_index == tfidf.term_index
-        assert_allclose(tfidf2.idf, tfidf.idf)
-        assert_allclose(svm2.weights, svm.weights)
-        assert svm2.bias == svm.bias and svm2.lam == svm.lam
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        assert {t: i for i, t in enumerate(obj["terms"])} == tfidf.term_index
+        assert_allclose(obj["idf"], tfidf.idf)
+        assert_allclose(obj["weights"], svm.weights)
+        assert obj["bias"] == svm.bias and obj["lambda"] == svm.lam

@@ -90,13 +90,14 @@ def assert_same_files(a, b):
 
 class TestFixturesCommand:
     def test_writes_all_corpora(self, ws):
-        for name in ("corpus_a", "corpus_b", "dataset", "separable"):
-            path = os.path.join(ws["fix"], f"{name}.jsonl")
-            assert os.path.exists(path) and os.path.getsize(path) > 0
+        names = ["corpus_a.jsonl", "corpus_b.jsonl", "dataset.jsonl"]
+        assert sorted(os.listdir(ws["fix"])) == names
+        for name in names:
+            assert os.path.getsize(os.path.join(ws["fix"], name)) > 0
 
     def test_rerun_is_byte_identical(self, ws, tmp_path):
         assert run("fixtures", "generate", "--seed", 7, "--out", tmp_path) == 0
-        for name in ("corpus_a", "corpus_b", "dataset", "separable"):
+        for name in ("corpus_a", "corpus_b", "dataset"):
             a = open(os.path.join(ws["fix"], f"{name}.jsonl"), "rb").read()
             b = open(tmp_path / f"{name}.jsonl", "rb").read()
             assert a == b
@@ -405,7 +406,7 @@ class TestVocabularyFitsCheckpoint:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: {vocab_150} has 150 tokens but {ws['adapted']} was built for 200\n")
-        assert not os.path.exists(tmp_path / "out" / "report.json")
+        assert not os.path.exists(tmp_path / "out")
 
 
 @pytest.mark.parametrize("command", ["adapt", "finetune"])
@@ -414,11 +415,12 @@ def test_encoder_too_large_to_allocate_exits_2(ws, tmp_path, capsys, command):
     # space, so the allocation fails at once and touches no memory
     argv = {"adapt": ["adapt", "--corpus", ws["corpus_b"]],
             "finetune": ["finetune", "--dataset", ws["dataset"], "--base", "vanilla"]}[command]
-    code = run(*argv, "--vocab", ws["vocab_path"], "--seed", 7, "--out", tmp_path, *TINY,
-               "--set", f"encoder.d_model={2**40}")
+    code = run(*argv, "--vocab", ws["vocab_path"], "--seed", 7, "--out", tmp_path / "out",
+               *TINY, "--set", f"encoder.d_model={2**40}")
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "out")
 
 
 @pytest.fixture(scope="class")

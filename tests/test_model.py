@@ -3,11 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import minidapt.model as model_mod
-from minidapt.autodiff import (Tensor, bce_with_logits, grad_check, masked_cross_entropy,
-                               stable_sigmoid)
-from minidapt.model import EncoderConfig, TransformerModel
+from minidapt.autodiff import Tensor, bce_with_logits, masked_cross_entropy, stable_sigmoid
+from minidapt.model import ATTN_MASK_BIAS, EncoderConfig, TransformerModel
 
-from conftest import FD_TOL
+from conftest import (FD_TOL, grad_check, reference_attention, reference_layer_norm,
+                      reference_linear)
 
 
 def tiny_config(**kw):
@@ -154,8 +154,10 @@ class TestEncodeForward:
 
 class TestEncodeCls:
     """The classifier path runs only the CLS query through the last layer:
-    its hidden state, loss and gradients equal the full path's up to
-    summation order, and it leaves the dropout rng where the full path does."""
+    its hidden state, loss and gradients equal those of `encode_forward`, which
+    queries every position, up to summation order, and it leaves the dropout
+    rng where `encode_forward` does. `TestEncoderOracle` checks both against
+    NumPy."""
 
     def _batch(self):
         rng = np.random.default_rng(6)
@@ -230,7 +232,7 @@ class TestEncodeCls:
 class TestEncodeAt:
     """The MLM path runs only the labelled queries through the last layer,
     each row's labelled positions first, padded with unlabelled ones to the
-    batch's largest count: the valid slots equal the full path's labelled
+    batch's largest count: the valid slots equal `encode_forward`'s labelled
     positions, with its loss, gradients and dropout rng stream, up to
     summation order."""
 
@@ -312,6 +314,59 @@ class TestEncodeAt:
             m.encode_at(np.zeros((1, 12), dtype=int), queries)
 
 
+def reference_encode(m, ids, pad_mask):
+    """Eval-mode hidden states [B, T, d] at every position, composed in NumPy
+    from the reference ops: the embedding sum, the pad bias, pre-norm layers
+    and the final layer norm. It gathers no queries, so it shares no gather
+    logic with `encode_at`."""
+    P = {n: p.data for n, p in m.params.items()}
+
+    def lin(x, w, b, relu=False):
+        return reference_linear(x, P[w], P[b], relu, np.zeros(x.shape[:-1] + P[b].shape))[0]
+
+    def norm(x, name):
+        return reference_layer_norm(x, P[f"{name}.gamma"], P[f"{name}.beta"],
+                                    np.zeros(x.shape))[0]
+
+    x = P["embed.tok"][ids] + P["embed.pos"][:ids.shape[1]]
+    bias = None if pad_mask is None else np.where(pad_mask, 0.0, ATTN_MASK_BIAS)[:, None, None]
+    for i in range(m.config.num_layers):
+        a, f = f"layer{i}.attn", f"layer{i}.ffn"
+        h = norm(x, f"layer{i}.ln1")
+        q, k, v = (lin(h, f"{a}.{n}", f"{a}.{n}_b") for n in ("wq", "wk", "wv"))
+        att = reference_attention(q, k, v, m.config.num_heads, bias, np.zeros(q.shape))[0]
+        x = x + lin(att, f"{a}.wo", f"{a}.wo_b")
+        h = norm(x, f"layer{i}.ln2")
+        x = x + lin(lin(h, f"{f}.w1", f"{f}.b1", relu=True), f"{f}.w2", f"{f}.b2")
+    return norm(x, "final_ln")
+
+
+class TestEncoderOracle:
+    """`encode_forward`, and `encode_at` with shuffled and repeated queries,
+    against `reference_encode` at a generic point, in eval mode."""
+
+    @pytest.mark.parametrize("padded", [True, False])
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_matches_the_numpy_encoder(self, num_layers, padded):
+        m = TransformerModel(tiny_config(num_layers=num_layers, dropout_rate=0.1))
+        rng = np.random.default_rng(num_layers)
+        for n, p in m.params.items():
+            p.data = (1.0 if n.endswith("gamma") else 0.0) + rng.normal(
+                0.0, 0.1 if p.data.ndim == 1 else 0.3, size=p.data.shape)
+        ids = rng.integers(0, 20, size=(3, 7))
+        mask = None
+        if padded:
+            mask = np.ones((3, 7), dtype=bool)
+            mask[1, 4:] = mask[2, 1:] = False
+        queries = np.stack([rng.permutation(7), rng.integers(0, 7, size=7), np.full(7, 5)])
+        want = reference_encode(m, ids, mask)
+        scale = np.abs(want).max()
+        full = m.encode_forward(ids, pad_mask=mask).data
+        assert np.abs(full - want).max() <= 1e-12 * scale
+        at = m.encode_at(ids, queries, pad_mask=mask).data
+        assert np.abs(at - want[np.arange(3)[:, None], queries]).max() <= 1e-12 * scale
+
+
 class TestMlmHead:
     def test_zero_hidden_gives_bias(self):
         m = TransformerModel(tiny_config())
@@ -330,8 +385,8 @@ class TestMlmHead:
 class TestClassifierHead:
     def test_zero_weights_give_half(self):
         m = TransformerModel(tiny_config())
-        for name in m.head_param_names():
-            if not name.endswith("gamma"):
+        for name in m.params:
+            if name.startswith("head.") and not name.endswith("gamma"):
                 m.params[name].data[:] = 0.0
         hidden = Tensor(np.zeros((2, 3, 8)))
         out = stable_sigmoid(m.classify_logits(hidden, mode="eval").data)

@@ -87,7 +87,8 @@ class TestAdamStep:
         assert np.all(np.abs(p.data) < np.array([2.0, 3.0]))
 
     def test_frozen_untouched(self):
-        p = Parameter("w", np.array([1.0]), trainable=False)
+        p = Parameter("w", np.array([1.0]))
+        p.requires_grad = False
         p.grad = np.array([5.0])
         state = AdamState()
         adam_step([p], state, lr=0.1)
@@ -116,8 +117,8 @@ class TestSetTrainable:
         m = self._model()
         # classifier head: 2x(dense w+b) + 2x(bn gamma+beta) + out w+b
         assert set_trainable(m, "head-only") == 10
-        assert set(p.name for p in m.params.values() if p.requires_grad) == \
-            set(m.head_param_names())
+        assert {n for n, p in m.params.items() if p.requires_grad} == \
+            {n for n in m.params if n.startswith("head.")}
 
     def test_head_only_freezes_encoder_through_adam(self):
         m = self._model()
@@ -134,7 +135,7 @@ class TestSetTrainable:
         m = self._model()
         assert set_trainable(m, "encoder+mlm") == len(m.params) - 10
         assert {n for n, p in m.params.items() if not p.requires_grad} == \
-            set(m.head_param_names())
+            {n for n in m.params if n.startswith("head.")}
 
     def test_encoder_head_freezes_exactly_the_mlm_head(self):
         m = self._model()
@@ -162,14 +163,14 @@ class TestSetTrainable:
 
         m, grown = traced_growth(build)
         weights = sum(p.data.nbytes for p in m.params.values())
-        head = sum(m.params[n].data.nbytes for n in m.head_param_names())
+        head = sum(p.data.nbytes for n, p in m.params.items() if n.startswith("head."))
         # weights plus 1.04 of the head's gradient bytes (Python objects
         # included); a gradient per parameter made it 3.86
         assert grown - weights <= 1.1 * head
 
     def test_requires_grad_is_the_only_freeze_flag(self):
-        p = Parameter("w", np.zeros(2), trainable=False)
-        assert not p.requires_grad
+        p = Parameter("w", np.zeros(2))
+        assert p.requires_grad
         assert not hasattr(p, "trainable") and not hasattr(p, "set_trainable")
 
     def test_unknown_selector(self):

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from minidapt.autodiff import (IGNORE_LABEL, Tensor, bce_with_logits,
                                masked_cross_entropy, stable_sigmoid)
 from minidapt.checkpoint import Checkpoint
-from minidapt.fixtures import separable_dataset
 from minidapt.masking import MaskingConfig, collate
 from minidapt.model import TransformerModel
 from minidapt.optim import AdamState, adam_step
@@ -20,7 +19,7 @@ from minidapt.trainer import (CurvePoint, FinetuneConfig, MLMConfig, _batches,
                               encode_examples, evaluate, finetune_staged,
                               mlm_validation_loss, write_curves)
 
-from conftest import tiny_model, tiny_train_config
+from conftest import separable_dataset, tiny_model, tiny_train_config
 
 
 def encoder_hash(model):
@@ -106,7 +105,7 @@ class TestAdaptMlm:
         init = tiny_checkpoint.model
         out, _ = adapt_mlm(tiny_checkpoint, split_chunks(small_chunks),
                            tiny_train_config(), small_vocab)
-        for name in init.head_param_names():
+        for name in (n for n in init.params if n.startswith("head.")):
             assert out.model.params[name].data.tobytes() == \
                 init.params[name].data.tobytes(), name
         for name, s in init.bn_states.items():
@@ -243,7 +242,8 @@ class TestFinetuneStaged:
         finetune_staged(tiny_checkpoint, split_docs(separable_dataset(seed=1)),
                         tiny_train_config(), small_vocab)
         stage1, stage2 = states
-        assert set(stage1.m) == set(tiny_checkpoint.model.head_param_names())
+        assert set(stage1.m) == {n for n in tiny_checkpoint.model.params
+                                 if n.startswith("head.")}
         assert set(stage2.m) == {n for n in tiny_checkpoint.model.params
                                  if not n.startswith("mlm.")}
 
@@ -490,7 +490,7 @@ class TestComputeOnlyWhatIsRead:
 
 
 def _head_state(model):
-    return ([model.params[n].data.tobytes() for n in model.head_param_names()],
+    return ([p.data.tobytes() for n, p in model.params.items() if n.startswith("head.")],
             [(s.running_mean.tobytes(), s.running_var.tobytes())
              for s in model.bn_states.values()])
 

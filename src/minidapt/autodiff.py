@@ -87,11 +87,7 @@ class Tensor:
             return
         g = _unbroadcast(g, self.data.shape)
         if self.grad is None:
-            # a copy, never `g` itself, which `+` hands to both parents;
-            # `empty_like` keeps the layout, and so the summation order, of
-            # `zeros_like`
-            self.grad = np.empty_like(self.data)
-            np.copyto(self.grad, g)
+            self.grad = g
         else:
             self.grad += g
 
@@ -116,7 +112,7 @@ class Tensor:
     def __add__(self, other):
         def _backward(g):
             self._accum(g)
-            other._accum(g)
+            other._accum(g.copy())
 
         return self._child(self.data + other.data, (self, other), _backward)
 
@@ -284,7 +280,12 @@ def attention(q, k, v, num_heads, bias=None):
     return q._child(out, (q, k, v), _backward)
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
+# the variance floor of both norms, and batch norm's running-statistics rate
+NORM_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
+
+def layer_norm(x, gamma, beta):
     """Normalize the last axis, then scale/shift by gamma/beta (shape [d]).
     The node keeps `mu` and `inv` ([..., 1]), not `xhat`: backward forms it
     again with the forward's expression, so the gradients keep their bits."""
@@ -292,7 +293,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     mu = x.data.mean(axis=-1, keepdims=True)
     out = x.data - mu
     # np.var's own steps on the centred input, so `inv` keeps its bits
-    inv = 1.0 / np.sqrt(np.square(out).sum(axis=-1, keepdims=True) / d + eps)
+    inv = 1.0 / np.sqrt(np.square(out).sum(axis=-1, keepdims=True) / d + NORM_EPS)
     out *= inv
     out *= gamma.data
     out += beta.data
@@ -317,7 +318,7 @@ class BatchNormState:
         self.running_var = np.ones(dim, dtype=np.float64)
 
 
-def batch_norm(x, gamma, beta, state, mode, momentum=0.1, eps=1e-5):
+def batch_norm(x, gamma, beta, state, mode):
     """Batch normalization over axis 0 of a [B, d] tensor.
 
     Train mode uses batch statistics and updates `state` in place; eval mode
@@ -328,14 +329,14 @@ def batch_norm(x, gamma, beta, state, mode, momentum=0.1, eps=1e-5):
             raise ShapeError("batch_norm: train mode needs batch size >= 2")
         mu = x.data.mean(axis=0)
         var = x.data.var(axis=0)
-        state.running_mean = (1 - momentum) * state.running_mean + momentum * mu
-        state.running_var = (1 - momentum) * state.running_var + momentum * var
+        state.running_mean = (1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mu
+        state.running_var = (1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * var
     elif mode == "eval":
         mu = state.running_mean
         var = state.running_var
     else:
         raise ValueError(f"batch_norm: unknown mode {mode!r}")
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (x.data - mu) * inv
 
     def _backward(g):

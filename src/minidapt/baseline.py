@@ -3,7 +3,7 @@
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,20 +25,20 @@ class TfIdfModel:
 
 
 def fit_tfidf(docs):
-    """Unigram TF-IDF with smoothed idf ln((1+N)/(1+df)) + 1; term order is
-    first occurrence in the training corpus."""
-    texts = [d.text if hasattr(d, "text") else d for d in docs]
-    if not texts:
+    """Unigram TF-IDF over documents' text with smoothed idf
+    ln((1+N)/(1+df)) + 1; term order is first occurrence in the training
+    corpus."""
+    if not docs:
         raise ValueError("fit_tfidf: empty corpus")
     term_index = {}
     df = Counter()
-    for text in texts:
-        toks = _terms(text)
+    for doc in docs:
+        toks = _terms(doc.text)
         for t in toks:
             if t not in term_index:
                 term_index[t] = len(term_index)
         df.update(set(toks))
-    n = len(texts)
+    n = len(docs)
     idf = np.empty(len(term_index))
     for t, i in term_index.items():
         idf[i] = math.log((1 + n) / (1 + df[t])) + 1.0
@@ -46,10 +46,9 @@ def fit_tfidf(docs):
 
 
 def transform(model, doc):
-    """L2-normalized tf*idf vector over the fitted term space."""
-    text = doc.text if hasattr(doc, "text") else doc
+    """L2-normalized tf*idf vector of a document over the fitted term space."""
     vec = np.zeros(len(model.term_index))
-    for t, c in Counter(_terms(text)).items():
+    for t, c in Counter(_terms(doc.text)).items():
         i = model.term_index.get(t)
         if i is not None:
             vec[i] = c * model.idf[i]

@@ -462,6 +462,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        # checked before the step runs, which would fail only at its first write
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise CliError(f"--out {args.out}: exists and is not a directory")
         return args.fn(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -20,11 +20,11 @@ TRUE_MARKERS = ["gomeda", "nakebo", "dagemo"]
 FAKE_MARKERS = ["zupivi", "tirusu", "vypizy"]
 
 
-def _lexicon(rng, syllables, n_words, n_syllables=(2, 4)):
+def _lexicon(rng, syllables, n_words):
     reserved = set(TRUE_MARKERS) | set(FAKE_MARKERS)
     words = set()
     while len(words) < n_words:
-        k = rng.integers(n_syllables[0], n_syllables[1] + 1)
+        k = rng.integers(2, 5)  # 2 to 4 syllables
         w = "".join(syllables[i] for i in rng.integers(len(syllables), size=k))
         if w not in reserved:
             words.add(w)
@@ -38,31 +38,33 @@ def _doc(rng, lexicon, n_words):
     return " ".join(lexicon[i] for i in rng.choice(len(lexicon), size=n_words, p=p))
 
 
-def two_domain_corpus(seed, n_docs=60, words_per_doc=(30, 80), lexicon_size=40):
-    """(domain A docs, domain B docs), unlabeled."""
+def two_domain_corpus(seed, n_docs=60):
+    """(domain A docs, domain B docs), unlabeled, each of 30 to 79 words
+    from its domain's 40-word lexicon."""
     rng = np.random.default_rng([seed, 10])
-    lex_a = _lexicon(rng, _SYLLABLES_A, lexicon_size)
-    lex_b = _lexicon(rng, _SYLLABLES_B, lexicon_size)
+    lex_a = _lexicon(rng, _SYLLABLES_A, 40)
+    lex_b = _lexicon(rng, _SYLLABLES_B, 40)
     docs_a, docs_b = [], []
     for _ in range(n_docs):
-        n = int(rng.integers(*words_per_doc))
+        n = int(rng.integers(30, 80))
         docs_a.append(Document(text=_doc(rng, lex_a, n), category="A"))
-        n = int(rng.integers(*words_per_doc))
+        n = int(rng.integers(30, 80))
         docs_b.append(Document(text=_doc(rng, lex_b, n), category="B"))
     return docs_a, docs_b
 
 
-def classification_dataset(seed, n=120, words_per_doc=(20, 40), lexicon_size=40):
+def classification_dataset(seed, n=120):
     """Labeled dataset whose labels correlate with domain-B vocabulary:
-    fake (1) articles draw mostly from domain B, true (0) from domain A."""
+    fake (1) articles draw mostly from domain B, true (0) from domain A,
+    20 to 39 words each."""
     rng = np.random.default_rng([seed, 11])
-    lex_a = _lexicon(rng, _SYLLABLES_A, lexicon_size)
-    lex_b = _lexicon(rng, _SYLLABLES_B, lexicon_size)
+    lex_a = _lexicon(rng, _SYLLABLES_A, 40)
+    lex_b = _lexicon(rng, _SYLLABLES_B, 40)
     docs = []
     for i in range(n):
         label = i % 2
         major, minor = (lex_b, lex_a) if label == 1 else (lex_a, lex_b)
-        n_words = int(rng.integers(*words_per_doc))
+        n_words = int(rng.integers(20, 40))
         n_minor = n_words // 5
         words = (_doc(rng, major, n_words - n_minor) + " "
                  + _doc(rng, minor, n_minor))

@@ -57,8 +57,7 @@ def set_trainable(model, selector):
     """selector: 'head-only' trains the classifier head alone, 'encoder+mlm'
     everything outside it, 'encoder+head' everything but the MLM head, 'all'
     every parameter. A trainable parameter gets a zero gradient; a frozen one
-    drops its array, since no gradient is written to it. Returns the
-    trainable tensor count."""
+    drops its array, since no gradient is written to it."""
     groups = {"head-only": {"head"}, "encoder+mlm": {"encoder", "mlm"},
               "encoder+head": {"encoder", "head"}, "all": {"encoder", "mlm", "head"}}
     if selector not in groups:
@@ -70,4 +69,3 @@ def set_trainable(model, selector):
             p.zero_grad()
         else:
             p.grad = None
-    return sum(p.requires_grad for p in model.params.values())

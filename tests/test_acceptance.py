@@ -6,14 +6,12 @@ training criteria are capability/direction checks, not benchmark numbers.
 """
 
 import hashlib
-import json
 import math
 import os
 import time
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from minidapt import baseline as bl
 from minidapt.autodiff import IGNORE_LABEL, bce_with_logits, masked_cross_entropy
@@ -345,18 +343,18 @@ def test_10_metrics_oracle():
 
 
 def test_11_baseline_oracles():
-    tfidf = bl.fit_tfidf(["a b", "a"])
+    tfidf = bl.fit_tfidf([Document(text="a b"), Document(text="a")])
     idf_b = math.log(3 / 2) + 1
     raw = np.array([2.0, idf_b])
     expected = raw / np.linalg.norm(raw)
-    got = bl.transform(tfidf, "a a b")
+    got = bl.transform(tfidf, Document(text="a a b"))
     tfidf_ok = (abs(tfidf.idf[tfidf.term_index["a"]] - 1.0) < 1e-9
                 and abs(tfidf.idf[tfidf.term_index["b"]] - idf_b) < 1e-9
                 and np.allclose(got[[tfidf.term_index["a"],
                                      tfidf.term_index["b"]]],
                                 expected, atol=1e-9))
     docs = separable_dataset(seed=11)
-    model = bl.fit_tfidf([d.text for d in docs[:48]])
+    model = bl.fit_tfidf(docs[:48])
     X_tr = bl.transform_all(model, docs[:48])
     X_va = bl.transform_all(model, docs[48:])
     y_tr = np.array([d.label for d in docs[:48]])

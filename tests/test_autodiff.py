@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from minidapt.autodiff import (IGNORE_LABEL, BatchNormState, Parameter, ShapeError, Tensor, _tape,
-                               attention, batch_norm, bce_with_logits, dropout, layer_norm, linear,
-                               masked_cross_entropy, no_grad, residual, stable_sigmoid)
+from minidapt.autodiff import (IGNORE_LABEL, NORM_EPS, BatchNormState, Parameter, ShapeError,
+                               Tensor, _tape, attention, batch_norm, bce_with_logits, dropout,
+                               layer_norm, linear, masked_cross_entropy, no_grad, residual,
+                               stable_sigmoid)
 from minidapt.masking import MaskingConfig, collate
 from minidapt.model import ATTN_MASK_BIAS
 from minidapt.trainer import _mlm_batch_loss
@@ -69,8 +70,8 @@ class TestLayerNorm:
 
     def test_already_standardized(self):
         g, b = self._gb(2)
-        out = layer_norm(Tensor([[-1.0, 1.0]]), g, b, eps=1e-15)
-        assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-6)
+        out = layer_norm(Tensor([[-1.0, 1.0]]), g, b)
+        assert_allclose(out.data, np.array([[-1.0, 1.0]]) / np.sqrt(1.0 + NORM_EPS))
 
     def test_zero_gamma_gives_beta(self):
         g, b = self._gb(3, gamma=0.0, beta=2.5)
@@ -129,7 +130,7 @@ class TestBatchNorm:
         g = Parameter("g", np.ones(1))
         b = Parameter("b", np.zeros(1))
         x = np.array([[0.0], [2.0]])
-        batch_norm(Tensor(x), g, b, state, "train", momentum=0.1)
+        batch_norm(Tensor(x), g, b, state, "train")
         assert_allclose(state.running_mean, [0.1])       # 0.9*0 + 0.1*1
         assert_allclose(state.running_var, [0.9 + 0.1])  # 0.9*1 + 0.1*var=1
 
@@ -166,6 +167,23 @@ class TestBackward:
         assert a.grad is not b.grad
         assert_allclose(a.grad, c + d)
         assert_allclose(b.grad, c)
+        # the same for op results: `h` hands its gradient to `a` and `b`, then
+        # `dot(a, d)` adds to `a`'s array and `dot(b, e)` to `b`'s before
+        # either is replayed, and neither term may reach the other
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = Tensor(np.ones(3), requires_grad=True)
+        a, b = x[np.arange(3)], y[np.arange(3)]
+        e = np.array([100.0, 200.0, 300.0])
+        (dot(b, e) + dot(a, d) + dot(a + b, c)).backward()
+        assert_allclose(x.grad, c + d)
+        assert_allclose(y.grad, c + e)
+
+    def test_first_gradient_is_the_array_handed_over(self):
+        # a tensor with no gradient keeps the array an op hands it, uncopied
+        t = Tensor(np.ones(3), requires_grad=True)
+        arr = np.array([1.0, 2.0, 3.0])
+        t._child(0.0, (t,), lambda g: t._accum(arr)).backward()
+        assert t.grad is arr
 
     def test_repeated_index_adds(self):
         w = Parameter("w", np.ones(3))
@@ -174,7 +192,7 @@ class TestBackward:
 
     def test_first_gradient_after_zero_grad_adds_to_zeros(self):
         # the first gradient after zero_grad is 0.0 + g, so a -0.0 in g reads
-        # +0.0 (a first gradient with no zero_grad before it is a copy of g)
+        # +0.0 (a first gradient with no zero_grad before it is g itself)
         w = Parameter("w", np.ones(3))
         w.zero_grad()
         c = np.array([-0.0, 0.0, -2.0])
@@ -423,8 +441,8 @@ class TestFusedMatchesUnfused:
         labels = self.rng.integers(0, 7, size=(2, 5))
         if ignored:
             labels[:, 1::2] = IGNORE_LABEL
-        # a plain tensor takes its first gradient as a copy, so a zero keeps
-        # its sign: under g < 0 the ignored rows are -0.0
+        # a plain tensor keeps the array it is handed as its first gradient,
+        # so a zero keeps its sign: under g < 0 the ignored rows are -0.0
         x = Tensor(logits, requires_grad=True)
         loss = masked_cross_entropy(x, labels)
         loss.grad = np.array(g)

@@ -9,18 +9,23 @@ from numpy.testing import assert_allclose
 from minidapt import baseline
 from minidapt.baseline import (DEFAULT_LAMBDA_GRID, fit_tfidf, save_baseline, train_lsvm,
                                transform, transform_all, tune_lsvm)
+from minidapt.corpus import Document
 
 from conftest import separable_dataset
 
 
+def _docs(*texts):
+    return [Document(text=t) for t in texts]
+
+
 class TestFitTfidf:
     def test_single_doc_idf_is_one(self):
-        model = fit_tfidf(["a b c"])
+        model = fit_tfidf(_docs("a b c"))
         assert_allclose(model.idf, np.ones(3))  # ln(2/2) + 1
 
     def test_two_doc_hand_values(self):
         # hand-derived smoothed idf: idf(a)=ln(3/3)+1=1, idf(b)=ln(3/2)+1
-        model = fit_tfidf(["a b", "a"])
+        model = fit_tfidf(_docs("a b", "a"))
         assert_allclose(model.idf[model.term_index["a"]], 1.0)
         assert_allclose(model.idf[model.term_index["b"]], math.log(3 / 2) + 1)
 
@@ -29,40 +34,40 @@ class TestFitTfidf:
             fit_tfidf([])
 
     def test_first_occurrence_order(self):
-        model = fit_tfidf(["b a", "c a"])
+        model = fit_tfidf(_docs("b a", "c a"))
         assert model.term_index == {"b": 0, "a": 1, "c": 2}
 
 
 class TestTransform:
     def test_unknown_terms_give_zero_vector(self):
-        model = fit_tfidf(["a b", "a"])
-        assert_allclose(transform(model, "z q"), np.zeros(2))
+        model = fit_tfidf(_docs("a b", "a"))
+        assert_allclose(transform(model, Document(text="z q")), np.zeros(2))
 
     def test_nonzero_output_is_unit_norm(self):
-        model = fit_tfidf(["a b c", "a b", "a"])
+        model = fit_tfidf(_docs("a b c", "a b", "a"))
         rng = np.random.default_rng(0)
         for _ in range(20):
             doc = " ".join(rng.choice(["a", "b", "c", "z"], size=6))
-            v = transform(model, doc)
+            v = transform(model, Document(text=doc))
             n = np.linalg.norm(v)
             if n > 0:
                 assert abs(n - 1.0) <= 1e-12
 
     def test_fixture_doc_exact_values(self):
         # same hand oracle as the idf test: doc "a a b" on corpus ["a b", "a"]
-        model = fit_tfidf(["a b", "a"])
+        model = fit_tfidf(_docs("a b", "a"))
         idf_b = math.log(3 / 2) + 1
         raw = np.array([2 * 1.0, 1 * idf_b])
         expected = raw / np.linalg.norm(raw)
-        got = transform(model, "a a b")
+        got = transform(model, Document(text="a a b"))
         assert_allclose(got[[model.term_index["a"], model.term_index["b"]]],
                         expected, rtol=1e-9)
 
     def test_idf_scaling_invariance(self):
-        model = fit_tfidf(["a b c", "a b", "c c"])
-        v1 = transform(model, "a b c c")
+        model = fit_tfidf(_docs("a b c", "a b", "c c"))
+        v1 = transform(model, Document(text="a b c c"))
         model.idf *= 7.3
-        v2 = transform(model, "a b c c")
+        v2 = transform(model, Document(text="a b c c"))
         assert_allclose(v1, v2, atol=1e-12)
 
 
@@ -202,7 +207,7 @@ class TestTrainLsvm:
 
     def test_separable_training_accuracy_reaches_one(self):
         docs = separable_dataset(seed=5)
-        model = fit_tfidf([d.text for d in docs])
+        model = fit_tfidf(docs)
         X = transform_all(model, docs)
         y = np.array([d.label for d in docs])
         svm = train_lsvm(X, y, lam=1e-3, epochs=100, seed=0)
@@ -212,7 +217,7 @@ class TestTrainLsvm:
 class TestTuneLsvm:
     def _data(self, seed=2):
         docs = separable_dataset(seed=seed)
-        model = fit_tfidf([d.text for d in docs])
+        model = fit_tfidf(docs)
         X = transform_all(model, docs)
         y = np.array([d.label for d in docs])
         return (X[:48], y[:48]), (X[48:], y[48:])
@@ -256,7 +261,7 @@ class TestTuneLsvm:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        docs = ["a b c", "b c d", "a d"]
+        docs = _docs("a b c", "b c d", "a d")
         tfidf = fit_tfidf(docs)
         svm = train_lsvm(transform_all(tfidf, docs), np.array([0, 1, 1]),
                          0.01, 10, seed=0)

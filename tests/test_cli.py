@@ -523,6 +523,20 @@ class TestMalformedInputs:
         assert code == 2
         assert err.startswith("error:") and "line 2: expected a JSON object" in err
 
+    @pytest.mark.parametrize("command", ["vocab", "compare"])
+    def test_out_naming_a_file_exits_2_before_the_step(self, ws, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.write_bytes(b"kept")
+        argv = {"vocab": ["--corpus", ws["corpus_b"], "--seed", 7],
+                "compare": [os.path.join(ws["ft_vanilla"], "report.json"),
+                            os.path.join(ws["base"], "report.json")]}[command]
+        code = run(command, *argv, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: --out {out}: exists and is not a directory\n"
+        assert out.read_bytes() == b"kept"
+        assert os.listdir(tmp_path) == ["out"]
+
     @pytest.mark.parametrize("name, text, line", [
         ("bad.jsonl", '{"text": "doc one", "label": 0}\n{"text": " \\t ", "label": 1}\n', 2),
         ("bad.csv", 'text,label\n"doc one",0\n"  ",1\n', 3),

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from minidapt.autodiff import IGNORE_LABEL
-from minidapt.masking import (MaskedBatch, MaskingConfig, apply_replacement, non_special_ids,
-                              collate, select_positions, word_groups)
+from minidapt.masking import (MaskingConfig, apply_replacement, non_special_ids, collate,
+                              word_groups)
 from minidapt.tokenizer import EncodedText, Vocabulary, SPECIALS
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "masking_fixture.json")

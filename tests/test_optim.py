@@ -111,12 +111,14 @@ class TestSetTrainable:
 
     def test_all_counts_every_tensor(self):
         m = self._model()
-        assert set_trainable(m, "all") == len(m.params)
+        set_trainable(m, "all")
+        assert sum(p.requires_grad for p in m.params.values()) == len(m.params)
 
     def test_head_only_count_matches_head_tensors(self):
         m = self._model()
         # classifier head: 2x(dense w+b) + 2x(bn gamma+beta) + out w+b
-        assert set_trainable(m, "head-only") == 10
+        set_trainable(m, "head-only")
+        assert sum(p.requires_grad for p in m.params.values()) == 10
         assert {n for n, p in m.params.items() if p.requires_grad} == \
             {n for n in m.params if n.startswith("head.")}
 
@@ -133,13 +135,15 @@ class TestSetTrainable:
 
     def test_encoder_mlm_freezes_exactly_the_head(self):
         m = self._model()
-        assert set_trainable(m, "encoder+mlm") == len(m.params) - 10
+        set_trainable(m, "encoder+mlm")
+        assert sum(p.requires_grad for p in m.params.values()) == len(m.params) - 10
         assert {n for n, p in m.params.items() if not p.requires_grad} == \
             {n for n in m.params if n.startswith("head.")}
 
     def test_encoder_head_freezes_exactly_the_mlm_head(self):
         m = self._model()
-        assert set_trainable(m, "encoder+head") == len(m.params) - 2
+        set_trainable(m, "encoder+head")
+        assert sum(p.requires_grad for p in m.params.values()) == len(m.params) - 2
         assert {n for n, p in m.params.items() if not p.requires_grad} == {"mlm.w", "mlm.b"}
 
     def test_frozen_parameters_drop_their_gradients(self):

@@ -37,13 +37,14 @@ QUICK = [
 ]
 
 
-def main():
+def main(argv=None):
+    """Run every step under --out; returns {step name: its directory}."""
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--out", required=True, help="root directory for artifacts")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--quick", action="store_true",
                     help="tiny model and short schedules for a fast smoke run")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     extra = list(QUICK) if args.quick else []
     seed = ["--seed", str(args.seed)]
@@ -86,6 +87,7 @@ def main():
         os.path.join(d["baseline"], "report.json"),
         "--out", d["compare"])
     print(f"\nartifacts under {args.out}")
+    return d
 
 
 if __name__ == "__main__":

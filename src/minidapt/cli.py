@@ -185,11 +185,19 @@ def _write_manifest(out, cfg, keys, inputs, extra=None):
     return path
 
 
+def _check_parts(parts, key, unit):
+    """Stops a step before it trains when a part of its split holds no unit."""
+    for name, part in zip(("train", "val", "test"), parts):
+        if not part:
+            raise CliError(f"{key}: the {name} part holds no {unit}")
+
+
 def _cls_splits(docs, cfg):
     """Train/val/test document splits for classification; shared with the
     baseline via the split seed so comparisons use identical test sets."""
     idx = split(range(len(docs)), SplitSpec(ratios=tuple(cfg["cls_split"]), seed=cfg["seed"]))
     parts = tuple([docs[i] for i in part] for part in idx)
+    _check_parts(parts, "cls_split", "document")
     return parts, idx
 
 
@@ -250,6 +258,7 @@ def cmd_adapt(args):
     tc = _train_config(cfg, keys)
     parts = split(docs, SplitSpec(ratios=tuple(cfg["mlm_split"]), seed=tc.seed))
     chunk_parts = [chunk_stream(part, vocab, tc.chunk_size) for part in parts]
+    _check_parts(chunk_parts, "mlm_split", f"full chunk of {tc.chunk_size} tokens")
     inputs = {"vocab": args.vocab, "corpus": args.corpus}
     if args.init:
         init = _load_checkpoint(args.init, vocab, args.vocab)

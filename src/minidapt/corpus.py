@@ -74,12 +74,13 @@ def _json_record(line):
 
 
 def load_documents(path, format):
-    """Read documents from CSV (header text,label,category) or JSON lines.
-    A malformed record raises a ValueError that names the path and its line."""
+    """Read documents from CSV (header text,label,category) or JSON lines; a
+    leading UTF-8 byte-order mark, as Excel writes, is skipped. A malformed
+    record raises a ValueError that names the path and its line."""
     if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {format!r}")
     docs = []
-    with open(path, newline="" if format == "csv" else None, encoding="utf-8") as f:
+    with open(path, newline="" if format == "csv" else None, encoding="utf-8-sig") as f:
         try:
             if format == "csv":
                 reader = csv.DictReader(f)

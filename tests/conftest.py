@@ -1,11 +1,12 @@
 import json
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from minidapt.autodiff import _unbroadcast
+from minidapt.autodiff import NORM_EPS, _unbroadcast
 from minidapt.checkpoint import MAGIC, Checkpoint
 from minidapt.corpus import Document, chunk_stream
 from minidapt.fixtures import (_SYLLABLES_A, FAKE_MARKERS, TRUE_MARKERS, _doc, _lexicon,
@@ -15,17 +16,19 @@ from minidapt.model import EncoderConfig, TransformerModel
 from minidapt.tokenizer import train_vocab
 from minidapt.trainer import FinetuneConfig, MLMConfig, TrainConfig
 
+import run_pipeline
 
-def separable_dataset(seed, n=64, words_per_doc=(10, 20), lexicon_size=30):
+
+def separable_dataset(seed, n=64):
     """Bag-of-words linearly separable: every fake doc carries fake-marker
     words and no true markers, and vice versa."""
     rng = np.random.default_rng([seed, 12])
-    common = _lexicon(rng, _SYLLABLES_A, lexicon_size)
+    common = _lexicon(rng, _SYLLABLES_A, 30)
     docs = []
     for i in range(n):
         label = i % 2
         markers = FAKE_MARKERS if label == 1 else TRUE_MARKERS
-        n_words = int(rng.integers(*words_per_doc))
+        n_words = int(rng.integers(10, 20))
         body = _doc(rng, common, n_words).split(" ")
         k = int(rng.integers(2, 4))
         for _ in range(k):
@@ -33,6 +36,22 @@ def separable_dataset(seed, n=64, words_per_doc=(10, 20), lexicon_size=30):
                         markers[int(rng.integers(len(markers)))])
         docs.append(Document(text=" ".join(body), label=label))
     return docs
+
+
+@pytest.fixture(scope="session")
+def pipeline_pair(tmp_path_factory):
+    """Two runs of `scripts/run_pipeline.py --quick` at seed 7, each as its
+    {step name: directory}; tests read them and write nothing into them."""
+    root = tmp_path_factory.mktemp("pipeline")
+    return tuple(run_pipeline.main(["--quick", "--seed", "7", "--out", str(root / run)])
+                 for run in ("run1", "run2"))
+
+
+def assert_same_files(a, b):
+    """Every file in directories a and b, manifests included, is byte-identical."""
+    files = [{p.name: p.read_bytes() for p in Path(d).iterdir()} for d in (a, b)]
+    assert sorted(files[0]) == sorted(files[1])
+    assert [name for name in files[0] if files[0][name] != files[1][name]] == [], a
 
 
 @pytest.fixture(scope="session")
@@ -48,12 +67,13 @@ def small_chunks(small_vocab):
     return chunk_stream(docs_b, small_vocab, 32)
 
 
-# the finite-difference checks' invariant tolerance, at the step 1e-5 that
-# `grad_check` below takes by default
+# the central-difference step of `grad_check` below, and the checks'
+# invariant tolerance at that step
+FD_STEP = 1e-5
 FD_TOL = 1e-4
 
 
-def grad_check(f, params, fd_step=1e-5):
+def grad_check(f, params):
     """Max relative error between analytic gradients and central differences.
 
     f: zero-argument callable returning a scalar Tensor built from `params`.
@@ -72,14 +92,14 @@ def grad_check(f, params, fd_step=1e-5):
         aflat = a.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + fd_step
+            flat[i] = orig + FD_STEP
             hi = float(f().data)
-            flat[i] = orig - fd_step
+            flat[i] = orig - FD_STEP
             lo = float(f().data)
             flat[i] = orig
             if not (np.isfinite(hi) and np.isfinite(lo)):
                 raise ValueError("grad_check: non-finite objective during perturbation")
-            fd = (hi - lo) / (2 * fd_step)
+            fd = (hi - lo) / (2 * FD_STEP)
             denom = max(abs(aflat[i]), abs(fd), 1e-8)
             worst = max(worst, abs(aflat[i] - fd) / denom)
     return worst
@@ -123,11 +143,11 @@ def reference_attention(q, k, v, num_heads, bias, c):
                          join(np.swapaxes(p, -1, -2) @ c)]
 
 
-def reference_layer_norm(x, gamma, beta, c, eps=1e-5):
+def reference_layer_norm(x, gamma, beta, c):
     """`layer_norm`'s value and its x, gamma, beta gradients for upstream
     `c`, in NumPy, from a kept `xhat`."""
     mu = x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + NORM_EPS)
     xhat = (x - mu) * inv
     d, sum_axes = x.shape[-1], tuple(range(c.ndim - 1))
     gx = c * gamma

@@ -11,12 +11,10 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from minidapt import baseline as bl
 from minidapt.autodiff import IGNORE_LABEL, bce_with_logits, masked_cross_entropy
 from minidapt.checkpoint import Checkpoint
-from minidapt.cli import main as cli_main
 from minidapt.corpus import Document, chunk_stream
 from minidapt.fixtures import two_domain_corpus
 from minidapt.masking import MaskingConfig, collate, word_groups
@@ -26,7 +24,8 @@ from minidapt.tokenizer import SPECIALS, EncodedText, Vocabulary, encode
 from minidapt.trainer import (adapt_mlm, evaluate, finetune_staged,
                               mlm_validation_loss)
 
-from conftest import grad_check, separable_dataset, tiny_model, tiny_train_config
+from conftest import (assert_same_files, grad_check, separable_dataset, tiny_model,
+                      tiny_train_config)
 
 
 def report(num, name, ok, detail=""):
@@ -88,8 +87,8 @@ def test_01_gradient_oracle():
            if not n.endswith("attn.wk_b")]
     head = [p for n, p in model.params.items() if n.startswith("head.")]
     mlm_head = [model.params["mlm.w"], model.params["mlm.b"]]
-    err_mlm = grad_check(mlm_loss, enc + mlm_head, fd_step=1e-5)
-    err_cls = grad_check(cls_loss, enc + head, fd_step=1e-5)
+    err_mlm = grad_check(mlm_loss, enc + mlm_head)
+    err_cls = grad_check(cls_loss, enc + head)
     elapsed = time.perf_counter() - start
     report(1, "gradient oracle",
            key_bias_zero and err_mlm < 1e-4 and err_cls < 1e-4 and elapsed < 60,
@@ -240,78 +239,23 @@ def test_08_adaptation_reduces_perplexity(small_vocab):
            f"({drop:.0%} drop)")
 
 
-_TINY_CLI = [
-    "--set", "encoder.num_layers=1",
-    "--set", "encoder.d_model=16",
-    "--set", "encoder.num_heads=2",
-    "--set", "encoder.d_ff=32",
-    "--set", "encoder.max_len=64",
-    "--set", "encoder.head_hidden=[8,4]",
-    "--set", "chunk_size=32",
-    "--set", "mlm.epochs=2",
-    "--set", "mlm.batch_size=8",
-    "--set", "mlm.peak_lr=0.001",
-    "--set", "finetune.stage1_epochs=2",
-    "--set", "finetune.stage2_epochs=2",
-    "--set", "finetune.batch_size=8",
-    "--set", "finetune.lr_frozen=0.003",
-    "--set", "finetune.lr_unfrozen=0.0003",
-]
-
-
-def _run_pipeline(root, tag):
-    """fixtures -> vocab -> adapt -> finetune(adapted & vanilla) -> baseline;
-    returns dirs."""
-    d = {k: os.path.join(root, f"{tag}_{k}")
-         for k in ("fix", "vocab", "adapt", "ft_adapted", "ft_vanilla", "baseline")}
-    seed = ["--seed", "11"]
-
-    def run(*argv):
-        assert cli_main([str(a) for a in argv]) == 0
-
-    run("fixtures", "generate", *seed, "--out", d["fix"])
-    corpus_b = os.path.join(d["fix"], "corpus_b.jsonl")
-    dataset = os.path.join(d["fix"], "dataset.jsonl")
-    run("vocab", "--corpus", os.path.join(d["fix"], "corpus_a.jsonl"),
-        corpus_b, dataset, "--set", "vocab_target_size=200", *seed,
-        "--out", d["vocab"], *_TINY_CLI)
-    vocab = os.path.join(d["vocab"], "vocab.json")
-    run("adapt", "--vocab", vocab, "--corpus", corpus_b, *seed,
-        "--out", d["adapt"], *_TINY_CLI)
-    run("finetune", "--vocab", vocab, "--dataset", dataset,
-        "--base", os.path.join(d["adapt"], "adapted.ckpt"), *seed,
-        "--out", d["ft_adapted"], *_TINY_CLI)
-    run("finetune", "--vocab", vocab, "--dataset", dataset,
-        "--base", "vanilla", *seed, "--out", d["ft_vanilla"], *_TINY_CLI)
-    run("baseline", "--dataset", dataset, *seed, "--out", d["baseline"])
-    return d
-
-
-@pytest.fixture(scope="module")
-def pipeline_runs(tmp_path_factory):
-    root = str(tmp_path_factory.mktemp("acceptance"))
-    return root, _run_pipeline(root, "run1"), _run_pipeline(root, "run2")
-
-
-def test_09_pipeline_and_comparison(pipeline_runs, capsys):
-    root, d, _ = pipeline_runs
+def test_09_pipeline_and_comparison(pipeline_pair):
+    d = pipeline_pair[0]
     reports = {}
-    for key in ("ft_adapted", "ft_vanilla"):
+    for key in ("finetune_adapted", "finetune_vanilla"):
         rep = EvalReport.load(os.path.join(d[key], "report.json"))
         assert rep.task == "classify"
         for v in (rep.accuracy, rep.precision, rep.recall, rep.f1):
             assert 0.0 <= v <= 1.0
         reports[key] = rep
-    cmp_out = os.path.join(root, "cmp")
-    code = cli_main(["compare", os.path.join(d["ft_adapted"], "report.json"),
-                     os.path.join(d["ft_vanilla"], "report.json"),
-                     "--out", cmp_out])
-    table = capsys.readouterr().out
-    ok = (code == 0 and "F1-score" in table
-          and os.path.exists(os.path.join(cmp_out, "comparison.csv")))
+    with open(os.path.join(d["compare"], "comparison.csv"), encoding="utf-8") as f:
+        rows = f.read().splitlines()
+    names = [r.split(",")[0] for r in rows[1:]]
+    ok = (rows[0] == "Model,Precision,Recall,F1-score,Accuracy"
+          and names == ["finetune_adapted", "finetune_vanilla", "baseline"])
     report(9, "pipeline both paths + comparison", ok,
-           f"F1 adapted {reports['ft_adapted'].f1:.3f} vs "
-           f"vanilla {reports['ft_vanilla'].f1:.3f} (observational)")
+           f"F1 adapted {reports['finetune_adapted'].f1:.3f} vs "
+           f"vanilla {reports['finetune_vanilla'].f1:.3f} (observational)")
 
 
 def test_10_metrics_oracle():
@@ -365,17 +309,8 @@ def test_11_baseline_oracles():
            f"tfidf hand values ok={tfidf_ok}, separable F1={f1}")
 
 
-def test_12_determinism(pipeline_runs):
-    _, d1, d2 = pipeline_runs
-    diffs = []
-    for key in d1:  # every file of every step, manifests included
-        names = sorted(os.listdir(d1[key]))
-        if names != sorted(os.listdir(d2[key])):
-            diffs.append(f"{key}/ file names")
-        for name in names:
-            a = open(os.path.join(d1[key], name), "rb").read()
-            b = open(os.path.join(d2[key], name), "rb").read()
-            if a != b:
-                diffs.append(f"{key}/{name}")
-    report(12, "run-to-run determinism", not diffs,
-           "byte-identical" if not diffs else "differs: " + ", ".join(diffs))
+def test_12_determinism(pipeline_pair):
+    run1, run2 = pipeline_pair
+    for key in run1:  # every file of every step, manifests included
+        assert_same_files(run1[key], run2[key])
+    report(12, "run-to-run determinism", True, f"{len(run1)} steps byte-identical")

@@ -3,8 +3,6 @@ import math
 import os
 import shutil
 import struct
-import subprocess
-import sys
 
 import pytest
 
@@ -13,26 +11,8 @@ from minidapt.cli import main
 from minidapt.metrics import EvalReport
 from minidapt.tokenizer import Vocabulary
 
-from conftest import BAD_MANIFEST_VALUES, poison, rewrite_manifest
-
-TINY = [
-    "--set", "encoder.num_layers=1",
-    "--set", "encoder.d_model=16",
-    "--set", "encoder.num_heads=2",
-    "--set", "encoder.d_ff=32",
-    "--set", "encoder.max_len=64",
-    "--set", "encoder.head_hidden=[8,4]",
-    "--set", "chunk_size=32",
-    "--set", "mlm.epochs=2",
-    "--set", "mlm.batch_size=8",
-    "--set", "mlm.peak_lr=0.001",
-    "--set", "finetune.stage1_epochs=2",
-    "--set", "finetune.stage2_epochs=1",
-    "--set", "finetune.batch_size=8",
-    "--set", "finetune.lr_frozen=0.001",
-    "--set", "finetune.lr_unfrozen=0.0001",
-    "--set", "baseline.epochs=20",
-]
+from conftest import BAD_MANIFEST_VALUES, assert_same_files, poison, rewrite_manifest
+from run_pipeline import QUICK
 
 
 def run(*argv):
@@ -40,34 +20,13 @@ def run(*argv):
 
 
 @pytest.fixture(scope="module")
-def ws(tmp_path_factory):
-    """Run the whole pipeline once; tests inspect the artifacts."""
-    root = tmp_path_factory.mktemp("cli")
-    d = {k: str(root / k) for k in
-         ("fix", "vocab", "adapt", "ft_vanilla", "ft_adapted", "base", "cmp",
-          "eval")}
-    assert run("fixtures", "generate", "--seed", 7, "--out", d["fix"]) == 0
-    corpora = [os.path.join(d["fix"], f"{n}.jsonl")
-               for n in ("corpus_a", "corpus_b", "dataset")]
-    assert run("vocab", "--corpus", *corpora, "--set", "vocab_target_size=200",
-               "--seed", 7, "--out", d["vocab"], *TINY) == 0
-    vocab_path = os.path.join(d["vocab"], "vocab.json")
-    corpus_b = os.path.join(d["fix"], "corpus_b.jsonl")
-    dataset = os.path.join(d["fix"], "dataset.jsonl")
-    assert run("adapt", "--vocab", vocab_path, "--corpus", corpus_b,
-               "--seed", 7, "--out", d["adapt"], *TINY) == 0
-    adapted = os.path.join(d["adapt"], "adapted.ckpt")
-    assert run("finetune", "--vocab", vocab_path, "--dataset", dataset,
-               "--base", "vanilla", "--seed", 7, "--out", d["ft_vanilla"],
-               *TINY) == 0
-    assert run("finetune", "--vocab", vocab_path, "--dataset", dataset,
-               "--base", adapted, "--seed", 7, "--out", d["ft_adapted"],
-               *TINY) == 0
-    assert run("baseline", "--dataset", dataset, "--seed", 7,
-               "--out", d["base"], *TINY) == 0
-    d.update(vocab_path=vocab_path, corpus_b=corpus_b, dataset=dataset,
-             adapted=adapted)
-    return d
+def ws(pipeline_pair):
+    """Run 1 of the quick pipeline, plus the input paths the tests pass again."""
+    d = pipeline_pair[0]
+    return dict(d, vocab_path=os.path.join(d["vocab"], "vocab.json"),
+                corpus_b=os.path.join(d["fixtures"], "corpus_b.jsonl"),
+                dataset=os.path.join(d["fixtures"], "dataset.jsonl"),
+                adapted=os.path.join(d["adapt"], "adapted.ckpt"))
 
 
 def read_manifest(out_dir):
@@ -80,27 +39,12 @@ def csv_rows(path):
         return f.read().strip().split("\n")
 
 
-def assert_same_files(a, b):
-    """Every file under a and b, manifests included, is byte-identical."""
-    names = sorted(os.listdir(a))
-    assert names == sorted(os.listdir(b))
-    for name in names:
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
-
-
 class TestFixturesCommand:
     def test_writes_all_corpora(self, ws):
         names = ["corpus_a.jsonl", "corpus_b.jsonl", "dataset.jsonl"]
-        assert sorted(os.listdir(ws["fix"])) == names
+        assert sorted(os.listdir(ws["fixtures"])) == names
         for name in names:
-            assert os.path.getsize(os.path.join(ws["fix"], name)) > 0
-
-    def test_rerun_is_byte_identical(self, ws, tmp_path):
-        assert run("fixtures", "generate", "--seed", 7, "--out", tmp_path) == 0
-        for name in ("corpus_a", "corpus_b", "dataset"):
-            a = open(os.path.join(ws["fix"], f"{name}.jsonl"), "rb").read()
-            b = open(tmp_path / f"{name}.jsonl", "rb").read()
-            assert a == b
+            assert os.path.getsize(os.path.join(ws["fixtures"], name)) > 0
 
 
 class TestVocabCommand:
@@ -137,13 +81,13 @@ class TestVocabCommand:
 class TestConfigSections:
     def test_unknown_key_exits_2(self, ws, tmp_path, capsys):
         code = run("adapt", "--vocab", ws["vocab_path"], "--corpus", ws["corpus_b"],
-                   "--seed", 7, "--out", tmp_path, *TINY, "--set", "encoder.d_modle=32")
+                   "--seed", 7, "--out", tmp_path, *QUICK, "--set", "encoder.d_modle=32")
         assert code == 2
         assert "d_modle" in capsys.readouterr().err
 
     def test_negative_weight_decay_exits_2(self, ws, tmp_path, capsys):
         code = run("adapt", "--vocab", ws["vocab_path"], "--corpus", ws["corpus_b"],
-                   "--seed", 7, "--out", tmp_path, *TINY, "--set", "mlm.weight_decay=-1")
+                   "--seed", 7, "--out", tmp_path, *QUICK, "--set", "mlm.weight_decay=-1")
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "weight_decay" in err
@@ -159,7 +103,7 @@ class TestConfigSections:
         step = (["finetune", "--dataset", ws["dataset"], "--base", "vanilla"]
                 if item.startswith("finetune.") else ["adapt", "--corpus", ws["corpus_b"]])
         code = run(*step, "--vocab", ws["vocab_path"],
-                   "--seed", 7, "--out", tmp_path, *TINY, "--set", item)
+                   "--seed", 7, "--out", tmp_path, *QUICK, "--set", item)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {item.partition('=')[0]} must be")
@@ -168,7 +112,7 @@ class TestConfigSections:
                                       "encoder.head_dropout=-0.5"])
     def test_impossible_dropout_rate_exits_2(self, ws, tmp_path, capsys, item):
         code = run("adapt", "--vocab", ws["vocab_path"], "--corpus", ws["corpus_b"],
-                   "--seed", 7, "--out", tmp_path, *TINY, "--set", item)
+                   "--seed", 7, "--out", tmp_path, *QUICK, "--set", item)
         err = capsys.readouterr().err
         assert code == 2
         key = item.partition("=")[0].removeprefix("encoder.")
@@ -234,15 +178,23 @@ class TestConfigSections:
         ("adapt", "mlm.weight_decay=NaN", "config key 'mlm.weight_decay' must be a finite number"),
         ("baseline", "cls_split=[NaN,0.5,0.5]",
          "config key 'cls_split' must be a list of finite numbers"),
+        # a split with an empty part stops the step before it trains
+        ("adapt", "mlm_split=[0.9,0.1,0]",
+         "mlm_split: the test part holds no full chunk of 32 tokens"),
+        ("finetune", "cls_split=[0.9,0.1,0]", "cls_split: the test part holds no document"),
+        ("baseline", "cls_split=[0.9,0.1,0]", "cls_split: the test part holds no document"),
     ])
     def test_malformed_setting_exits_2(self, ws, tmp_path, capsys, command, item, key):
         argv = {"vocab": ["--corpus", ws["corpus_b"]],
-                "adapt": ["--vocab", ws["vocab_path"], "--corpus", ws["corpus_b"], *TINY],
+                "adapt": ["--vocab", ws["vocab_path"], "--corpus", ws["corpus_b"], *QUICK],
+                "finetune": ["--vocab", ws["vocab_path"], "--dataset", ws["dataset"],
+                             "--base", "vanilla", *QUICK],
                 "baseline": ["--dataset", ws["dataset"]]}[command]
-        code = run(command, *argv, "--seed", 7, "--out", tmp_path, "--set", item)
+        code = run(command, *argv, "--seed", 7, "--out", tmp_path / "out", "--set", item)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and key in err
+        assert not os.path.exists(tmp_path / "out")
 
 
 class TestSeedHandling:
@@ -280,7 +232,7 @@ class TestAdaptCommand:
 
     def test_curves_have_one_row_per_epoch(self, ws):
         rows = csv_rows(os.path.join(ws["adapt"], "curves.csv"))
-        assert len(rows) == 1 + 2  # header + mlm epochs
+        assert len(rows) == 1 + 3  # header + mlm epochs
         assert all(r.startswith("mlm,") for r in rows[1:])
 
     def test_report_is_mlm_with_finite_perplexity(self, ws):
@@ -304,54 +256,46 @@ class TestAdaptCommand:
             assert run("adapt", "--vocab", inputs / "vocab.json",
                        "--corpus", inputs / "corpus_b.jsonl",
                        "--init", inputs / "adapted.ckpt",
-                       "--seed", 7, "--out", root / "out", *TINY) == 0
+                       "--seed", 7, "--out", root / "out", *QUICK) == 0
             manifests.append((root / "out" / "manifest.json").read_bytes())
         assert manifests[0] == manifests[1]
         assert set(json.loads(manifests[0])["inputs"]) == {"vocab", "corpus", "init"}
 
-    def test_rerun_byte_identical(self, ws, tmp_path):
-        assert run("adapt", "--vocab", ws["vocab_path"], "--corpus",
-                   ws["corpus_b"], "--seed", 7, "--out", tmp_path, *TINY) == 0
-        for name in ("adapted.ckpt", "curves.csv", "report.json"):
-            a = open(os.path.join(ws["adapt"], name), "rb").read()
-            b = open(tmp_path / name, "rb").read()
-            assert a == b, name
-
 
 class TestFinetuneCommand:
     def test_both_paths_produce_outputs(self, ws):
-        for out in (ws["ft_vanilla"], ws["ft_adapted"]):
+        for out in (ws["finetune_vanilla"], ws["finetune_adapted"]):
             for name in ("classifier.ckpt", "curves.csv", "report.json"):
                 assert os.path.exists(os.path.join(out, name))
 
     def test_curves_cover_both_stages(self, ws):
-        rows = csv_rows(os.path.join(ws["ft_vanilla"], "curves.csv"))
-        assert len(rows) == 1 + 2 + 1  # header + stage1 + stage2 epochs
-        assert rows[1].startswith("frozen,") and rows[3].startswith("unfrozen,")
+        rows = csv_rows(os.path.join(ws["finetune_vanilla"], "curves.csv"))
+        assert len(rows) == 1 + 3 + 3  # header + stage1 + stage2 epochs
+        assert rows[1].startswith("frozen,") and rows[4].startswith("unfrozen,")
 
     def test_reports_are_schema_valid(self, ws):
-        for out in (ws["ft_vanilla"], ws["ft_adapted"]):
+        for out in (ws["finetune_vanilla"], ws["finetune_adapted"]):
             rep = EvalReport.load(os.path.join(out, "report.json"))
             assert rep.task == "classify"
             for v in (rep.accuracy, rep.precision, rep.recall, rep.f1):
                 assert 0.0 <= v <= 1.0
 
     def test_checkpoint_loads(self, ws):
-        ckpt = Checkpoint.load(os.path.join(ws["ft_vanilla"], "classifier.ckpt"))
+        ckpt = Checkpoint.load(os.path.join(ws["finetune_vanilla"], "classifier.ckpt"))
         assert ckpt.provenance["stage"] in ("frozen", "unfrozen")
 
     def test_unlabeled_dataset_rejected(self, ws, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"text": "no label here"}\n')
         code = run("finetune", "--vocab", ws["vocab_path"], "--dataset", bad,
-                   "--base", "vanilla", "--seed", 7, "--out", tmp_path, *TINY)
+                   "--base", "vanilla", "--seed", 7, "--out", tmp_path, *QUICK)
         assert code == 2
         assert "label" in capsys.readouterr().err
 
     def test_max_len_below_two_exits_2(self, ws, tmp_path, capsys):
         # a row holds at least CLS and SEP
         code = run("finetune", "--vocab", ws["vocab_path"], "--dataset", ws["dataset"],
-                   "--base", "vanilla", "--seed", 7, "--out", tmp_path, *TINY,
+                   "--base", "vanilla", "--seed", 7, "--out", tmp_path, *QUICK,
                    "--set", "encoder.max_len=1")
         err = capsys.readouterr().err
         assert code == 2
@@ -362,7 +306,7 @@ class TestFinetuneCommand:
         shutil.copyfile(ws["adapted"], broken)
         broken.write_bytes(broken.read_bytes()[:-8])  # one value short
         code = run("finetune", "--vocab", ws["vocab_path"], "--dataset", ws["dataset"],
-                   "--base", broken, "--seed", 7, "--out", tmp_path / "out", *TINY)
+                   "--base", broken, "--seed", 7, "--out", tmp_path / "out", *QUICK)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {broken}: payload is ") and "the config needs" in err
@@ -374,7 +318,7 @@ class TestFinetuneCommand:
         shutil.copyfile(ws["adapted"], broken)
         rewrite_manifest(broken, edit)
         code = run("finetune", "--vocab", ws["vocab_path"], "--dataset", ws["dataset"],
-                   "--base", broken, "--seed", 7, "--out", tmp_path / "out", *TINY)
+                   "--base", broken, "--seed", 7, "--out", tmp_path / "out", *QUICK)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {broken}: ") and message in err
@@ -402,7 +346,7 @@ class TestVocabularyFitsCheckpoint:
                 "evaluate": ["evaluate", "--task", "classify", "--data", ws["dataset"],
                              "--ckpt", ws["adapted"]]}[command]
         code = run(*argv, "--vocab", vocab_150, "--seed", 7, "--out", tmp_path / "out",
-                   *TINY)
+                   *QUICK)
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: {vocab_150} has 150 tokens but {ws['adapted']} was built for 200\n")
@@ -416,31 +360,20 @@ def test_encoder_too_large_to_allocate_exits_2(ws, tmp_path, capsys, command):
     argv = {"adapt": ["adapt", "--corpus", ws["corpus_b"]],
             "finetune": ["finetune", "--dataset", ws["dataset"], "--base", "vanilla"]}[command]
     code = run(*argv, "--vocab", ws["vocab_path"], "--seed", 7, "--out", tmp_path / "out",
-               *TINY, "--set", f"encoder.d_model={2**40}")
+               *QUICK, "--set", f"encoder.d_model={2**40}")
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert not os.path.exists(tmp_path / "out")
 
 
-@pytest.fixture(scope="class")
-def quick_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("quick")
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    subprocess.run([sys.executable, os.path.join(root, "scripts", "run_pipeline.py"),
-                    "--quick", "--seed", "0", "--out", str(out)],
-                   env=env, check=True, capture_output=True)
-    return out
-
-
 class TestPipelineScript:
-    def test_quick_vocab_manifest_records_size_used(self, quick_run):
-        with open(quick_run / "vocab" / "vocab_stats.json") as f:
+    def test_quick_vocab_manifest_records_size_used(self, ws):
+        with open(os.path.join(ws["vocab"], "vocab_stats.json")) as f:
             assert json.load(f)["vocab_size"] == 200
-        assert read_manifest(quick_run / "vocab")["config"]["vocab_target_size"] == 200
+        assert read_manifest(ws["vocab"])["config"]["vocab_target_size"] == 200
 
-    def test_quick_manifests_record_what_each_step_read(self, quick_run):
+    def test_quick_manifests_record_what_each_step_read(self, ws):
         read = {
             "vocab": {"seed", "vocab_target_size"},
             "adapt": {"seed", "chunk_size", "mlm_split", "mlm", "masking", "encoder"},
@@ -449,7 +382,7 @@ class TestPipelineScript:
             "baseline": {"seed", "cls_split", "baseline"},
         }
         for step, keys in read.items():
-            assert set(read_manifest(quick_run / step)["config"]) == keys, step
+            assert set(read_manifest(ws[step])["config"]) == keys, step
 
 
 class TestManifestKeys:
@@ -458,7 +391,7 @@ class TestManifestKeys:
 
     def test_adapt_from_checkpoint(self, ws, tmp_path):
         assert run("adapt", "--vocab", ws["vocab_path"], "--corpus", ws["corpus_b"],
-                   "--init", ws["adapted"], "--seed", 7, "--out", tmp_path, *TINY) == 0
+                   "--init", ws["adapted"], "--seed", 7, "--out", tmp_path, *QUICK) == 0
         assert set(read_manifest(tmp_path)["config"]) == {
             "seed", "chunk_size", "mlm_split", "mlm", "masking"}
 
@@ -468,10 +401,10 @@ class TestManifestKeys:
     ])
     def test_evaluate(self, ws, tmp_path, task, keys):
         ckpt, data = {"mlm": (ws["adapted"], ws["corpus_b"]),
-                      "classify": (os.path.join(ws["ft_vanilla"], "classifier.ckpt"),
+                      "classify": (os.path.join(ws["finetune_vanilla"], "classifier.ckpt"),
                                    ws["dataset"])}[task]
         assert run("evaluate", "--vocab", ws["vocab_path"], "--ckpt", ckpt, "--data", data,
-                   "--task", task, "--seed", 7, "--out", tmp_path, *TINY) == 0
+                   "--task", task, "--seed", 7, "--out", tmp_path, *QUICK) == 0
         assert set(read_manifest(tmp_path)["config"]) == keys
 
     @pytest.mark.parametrize("command, item", [
@@ -481,31 +414,29 @@ class TestManifestKeys:
     def test_bad_value_in_a_section_not_read_is_ignored(self, ws, tmp_path, command, item):
         argv = {"finetune": ["finetune", "--dataset", ws["dataset"], "--base", ws["adapted"]],
                 "classify": ["evaluate", "--task", "classify", "--data", ws["dataset"],
-                             "--ckpt", os.path.join(ws["ft_vanilla"], "classifier.ckpt")]}
+                             "--ckpt", os.path.join(ws["finetune_vanilla"], "classifier.ckpt")]}
         assert run(*argv[command], "--vocab", ws["vocab_path"], "--seed", 7,
-                   "--out", tmp_path, *TINY, "--set", item) == 0
+                   "--out", tmp_path, *QUICK, "--set", item) == 0
 
     def test_bad_value_in_a_section_read_exits_2(self, ws, tmp_path, capsys):
         code = run("evaluate", "--task", "mlm", "--data", ws["corpus_b"],
                    "--ckpt", ws["adapted"], "--vocab", ws["vocab_path"], "--seed", 7,
-                   "--out", tmp_path, *TINY, "--set", "masking.p_mask=2.0")
+                   "--out", tmp_path, *QUICK, "--set", "masking.p_mask=2.0")
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: p_mask must be in [0, 1)")
 
+    # the pipeline ran each step at the same seed and settings, less the --sets
     def test_baseline_outputs_ignore_other_sections(self, ws, tmp_path):
-        for out, extra in [("plain", []),
-                           ("set", ["--set", "mlm.epochs=5", "--set", "encoder.d_model=32"])]:
-            assert run("baseline", "--dataset", ws["dataset"], "--seed", 7,
-                       "--out", tmp_path / out, *TINY, *extra) == 0
-        assert_same_files(tmp_path / "plain", tmp_path / "set")
+        assert run("baseline", "--dataset", ws["dataset"], "--seed", 7, "--out", tmp_path,
+                   *QUICK, "--set", "mlm.epochs=5", "--set", "encoder.d_model=32") == 0
+        assert_same_files(ws["baseline"], tmp_path)
 
     def test_finetune_from_checkpoint_ignores_encoder_section(self, ws, tmp_path):
-        for out, extra in [("plain", []), ("set", ["--set", "encoder.dropout_rate=0.3"])]:
-            assert run("finetune", "--vocab", ws["vocab_path"], "--dataset", ws["dataset"],
-                       "--base", ws["adapted"], "--seed", 7, "--out", tmp_path / out,
-                       *TINY, *extra) == 0
-        assert_same_files(tmp_path / "plain", tmp_path / "set")
+        assert run("finetune", "--vocab", ws["vocab_path"], "--dataset", ws["dataset"],
+                   "--base", ws["adapted"], "--seed", 7, "--out", tmp_path,
+                   *QUICK, "--set", "encoder.dropout_rate=0.3") == 0
+        assert_same_files(ws["finetune_adapted"], tmp_path)
 
 
 class TestMalformedInputs:
@@ -518,7 +449,7 @@ class TestMalformedInputs:
                 "finetune": ["--vocab", ws["vocab_path"], "--dataset", bad,
                              "--base", "vanilla"],
                 "baseline": ["--dataset", bad]}[command]
-        code = run(command, *argv, "--seed", 7, "--out", tmp_path / "out", *TINY)
+        code = run(command, *argv, "--seed", 7, "--out", tmp_path / "out", *QUICK)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "line 2: expected a JSON object" in err
@@ -528,8 +459,8 @@ class TestMalformedInputs:
         out = tmp_path / "out"
         out.write_bytes(b"kept")
         argv = {"vocab": ["--corpus", ws["corpus_b"], "--seed", 7],
-                "compare": [os.path.join(ws["ft_vanilla"], "report.json"),
-                            os.path.join(ws["base"], "report.json")]}[command]
+                "compare": [os.path.join(ws["finetune_vanilla"], "report.json"),
+                            os.path.join(ws["baseline"], "report.json")]}[command]
         code = run(command, *argv, "--out", out)
         err = capsys.readouterr().err
         assert code == 2
@@ -553,7 +484,7 @@ class TestMalformedInputs:
         bad = tmp_path / "vocab.json"
         bad.write_text('{"toks": []}')
         code = run("adapt", "--vocab", bad, "--corpus", ws["corpus_b"],
-                   "--seed", 7, "--out", tmp_path / "out", *TINY)
+                   "--seed", 7, "--out", tmp_path / "out", *QUICK)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {bad}: ") and '"tokens" list of strings' in err
@@ -566,7 +497,7 @@ class TestMalformedInputs:
         bad = tmp_path / "vocab.json"
         bad.write_bytes(raw)
         code = run("adapt", "--vocab", bad, "--corpus", ws["corpus_b"],
-                   "--seed", 7, "--out", tmp_path / "out", *TINY)
+                   "--seed", 7, "--out", tmp_path / "out", *QUICK)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {bad}: {message}")
@@ -576,13 +507,13 @@ class TestMalformedInputs:
         # a NaN bias made every probability NaN, which evaluate scored as
         # "real" and finetune trained on until adam_step failed
         broken = tmp_path / "nan.ckpt"
-        poison(os.path.join(ws["ft_vanilla"], "classifier.ckpt"), broken,
+        poison(os.path.join(ws["finetune_vanilla"], "classifier.ckpt"), broken,
                "param/head.out.b", float("nan"))
         argv = {"evaluate": ["--ckpt", broken, "--data", ws["dataset"], "--task", "classify"],
                 "finetune": ["--dataset", ws["dataset"], "--base", broken],
                 "adapt": ["--corpus", ws["corpus_b"], "--init", broken]}[command]
         code = run(command, "--vocab", ws["vocab_path"], *argv,
-                   "--seed", 7, "--out", tmp_path / "out", *TINY)
+                   "--seed", 7, "--out", tmp_path / "out", *QUICK)
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"error: {broken}: entry param/head.out.b holds a non-finite value\n"
@@ -590,13 +521,13 @@ class TestMalformedInputs:
 
 class TestBaselineCommand:
     def test_outputs_and_lambda(self, ws):
-        m = read_manifest(ws["base"])
+        m = read_manifest(ws["baseline"])
         assert m["chosen_lambda"] in m["config"]["baseline"]["lambda_grid"]
-        assert os.path.exists(os.path.join(ws["base"], "baseline.json"))
+        assert os.path.exists(os.path.join(ws["baseline"], "baseline.json"))
 
     def test_shares_test_split_with_finetune(self, ws):
-        m_ft = read_manifest(ws["ft_vanilla"])
-        m_bl = read_manifest(ws["base"])
+        m_ft = read_manifest(ws["finetune_vanilla"])
+        m_bl = read_manifest(ws["baseline"])
         assert m_ft["test_indices"] == m_bl["test_indices"]
         assert len(m_bl["test_indices"]) == 24  # 20% of 120
 
@@ -610,21 +541,21 @@ class TestBaselineCommand:
 
 
 class TestEvaluateCommand:
-    def test_mlm_evaluation_runs(self, ws, capsys):
+    def test_mlm_evaluation_runs(self, ws, tmp_path, capsys):
         code = run("evaluate", "--vocab", ws["vocab_path"],
                    "--ckpt", ws["adapted"], "--data", ws["corpus_b"],
-                   "--task", "mlm", "--seed", 7, "--out", ws["eval"], *TINY)
+                   "--task", "mlm", "--seed", 7, "--out", tmp_path, *QUICK)
         assert code == 0
         out = capsys.readouterr().out
         assert '"perplexity"' in out
-        rep = EvalReport.load(os.path.join(ws["eval"], "report.json"))
+        rep = EvalReport.load(tmp_path / "report.json")
         assert rep.task == "mlm"
 
     def test_classify_evaluation_runs(self, ws, tmp_path):
         code = run("evaluate", "--vocab", ws["vocab_path"],
-                   "--ckpt", os.path.join(ws["ft_vanilla"], "classifier.ckpt"),
+                   "--ckpt", os.path.join(ws["finetune_vanilla"], "classifier.ckpt"),
                    "--data", ws["dataset"], "--task", "classify",
-                   "--seed", 7, "--out", tmp_path, *TINY)
+                   "--seed", 7, "--out", tmp_path, *QUICK)
         assert code == 0
         rep = EvalReport.load(tmp_path / "report.json")
         assert rep.task == "classify"
@@ -634,7 +565,7 @@ class TestEvaluateCommand:
         cut.write_bytes(MAGIC + b"\x01")
         code = run("evaluate", "--vocab", ws["vocab_path"], "--ckpt", cut,
                    "--data", ws["corpus_b"], "--task", "mlm",
-                   "--seed", 7, "--out", tmp_path / "out", *TINY)
+                   "--seed", 7, "--out", tmp_path / "out", *QUICK)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {cut}: file ends inside the header")
@@ -645,7 +576,7 @@ class TestEvaluateCommand:
             old.write_bytes(b"MDAPTCK2" + f.read()[8:])
         code = run("evaluate", "--vocab", ws["vocab_path"], "--ckpt", old,
                    "--data", ws["corpus_b"], "--task", "mlm",
-                   "--seed", 7, "--out", tmp_path / "out", *TINY)
+                   "--seed", 7, "--out", tmp_path / "out", *QUICK)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {old}: checkpoint format MDAPTCK2 is not supported")
@@ -665,7 +596,7 @@ class TestEvaluateCommand:
         broken.write_bytes(MAGIC + struct.pack("<Q", size) + manifest)
         code = run("evaluate", "--vocab", ws["vocab_path"], "--ckpt", broken,
                    "--data", ws["corpus_b"], "--task", "mlm",
-                   "--seed", 7, "--out", tmp_path / "out", *TINY)
+                   "--seed", 7, "--out", tmp_path / "out", *QUICK)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {broken}: {message}")
@@ -678,23 +609,23 @@ class TestEvaluateCommand:
         rewrite_manifest(broken, edit)
         code = run("evaluate", "--vocab", ws["vocab_path"], "--ckpt", broken,
                    "--data", ws["corpus_b"], "--task", "mlm",
-                   "--seed", 7, "--out", tmp_path / "out", *TINY)
+                   "--seed", 7, "--out", tmp_path / "out", *QUICK)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {broken}: ") and message in err
 
 
 class TestCompareCommand:
-    def test_renders_table_and_csv(self, ws, capsys):
+    def test_renders_table_and_csv(self, ws, tmp_path, capsys):
         code = run("compare",
-                   os.path.join(ws["ft_vanilla"], "report.json"),
-                   os.path.join(ws["ft_adapted"], "report.json"),
-                   os.path.join(ws["base"], "report.json"),
-                   "--out", ws["cmp"])
+                   os.path.join(ws["finetune_vanilla"], "report.json"),
+                   os.path.join(ws["finetune_adapted"], "report.json"),
+                   os.path.join(ws["baseline"], "report.json"),
+                   "--out", tmp_path)
         assert code == 0
         out = capsys.readouterr().out
         assert "F1-score" in out and "**" in out
-        rows = csv_rows(os.path.join(ws["cmp"], "comparison.csv"))
+        rows = csv_rows(tmp_path / "comparison.csv")
         assert rows[0] == "Model,Precision,Recall,F1-score,Accuracy"
         assert len(rows) == 4
 
@@ -703,19 +634,19 @@ class TestCompareCommand:
     def test_config_flags_are_gone(self, ws, tmp_path, capsys, flag):
         # compare reads no setting, so it takes none
         with pytest.raises(SystemExit) as e:
-            run("compare", os.path.join(ws["ft_vanilla"], "report.json"),
-                os.path.join(ws["base"], "report.json"), *flag, "--out", tmp_path)
+            run("compare", os.path.join(ws["finetune_vanilla"], "report.json"),
+                os.path.join(ws["baseline"], "report.json"), *flag, "--out", tmp_path)
         assert e.value.code == 2
         assert flag[0] in capsys.readouterr().err
 
     def test_single_report_exits_2(self, ws, tmp_path):
-        code = run("compare", os.path.join(ws["base"], "report.json"),
+        code = run("compare", os.path.join(ws["baseline"], "report.json"),
                    "--out", tmp_path)
         assert code == 2
 
     @pytest.mark.parametrize("value", [None, "0.9", True, math.nan, math.inf])
     def test_non_numeric_metric_exits_1(self, ws, tmp_path, capsys, value):
-        with open(os.path.join(ws["base"], "report.json"), encoding="utf-8") as f:
+        with open(os.path.join(ws["baseline"], "report.json"), encoding="utf-8") as f:
             report = json.load(f)
         if value is None:
             del report["recall"]
@@ -723,7 +654,7 @@ class TestCompareCommand:
             report["recall"] = value
         bad = tmp_path / "report.json"
         bad.write_text(json.dumps(report))
-        code = run("compare", os.path.join(ws["ft_vanilla"], "report.json"), bad,
+        code = run("compare", os.path.join(ws["finetune_vanilla"], "report.json"), bad,
                    "--out", tmp_path / "cmp")
         err = capsys.readouterr().err
         assert code == 1
@@ -741,7 +672,7 @@ class TestCompareCommand:
     def test_unreadable_report_exits_1(self, ws, tmp_path, capsys, raw, message):
         bad = tmp_path / "report.json"
         bad.write_bytes(raw)
-        code = run("compare", os.path.join(ws["ft_vanilla"], "report.json"), bad,
+        code = run("compare", os.path.join(ws["finetune_vanilla"], "report.json"), bad,
                    "--out", tmp_path / "cmp")
         err = capsys.readouterr().err
         assert code == 1
@@ -750,6 +681,6 @@ class TestCompareCommand:
     def test_mlm_report_rejected(self, ws, tmp_path):
         code = run("compare",
                    os.path.join(ws["adapt"], "report.json"),
-                   os.path.join(ws["base"], "report.json"),
+                   os.path.join(ws["baseline"], "report.json"),
                    "--out", tmp_path)
         assert code == 1

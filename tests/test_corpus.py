@@ -90,6 +90,16 @@ class TestLoadDocuments:
             load_documents(p, format)
         assert str(e.value).startswith(f"{p}: not UTF-8 (")
 
+    @pytest.mark.parametrize("format, text", [
+        ("csv", "text,label\nخبر,0\ny,1\n"),
+        ("jsonl", '{"text": "خبر", "label": 0}\n{"text": "y", "label": 1}\n'),
+    ], ids=["csv", "jsonl"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, format, text):
+        # Excel writes a UTF-8 byte-order mark at the start of a CSV export
+        p = tmp_path / f"d.{format}"
+        p.write_text("\ufeff" + text, encoding="utf-8")
+        assert [(d.text, d.label) for d in load_documents(p, format)] == [("خبر", 0), ("y", 1)]
+
     def test_rfc4180_quoting(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text('text,label,category\n"a, quoted ""word""",1,\n')

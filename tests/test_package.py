@@ -61,12 +61,12 @@ def _parameters_with_defaults(tree):
     yield from walk(tree, None)
 
 
-def _passed_arguments():
+def _passed_arguments(directories):
     """(called name, keyword or position) for every argument of every call
-    outside the tests, with "*" for a call that passes `*` or `**`; a name
+    in the directories, with "*" for a call that passes `*` or `**`; a name
     bound by `from … import x as y` resolves to x."""
     passed = set()
-    for directory in ("src", "scripts", "stagebench"):
+    for directory in directories:
         for path in (ROOT / directory).rglob("*.py"):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             aliases = {a.asname: a.name for node in ast.walk(tree)
@@ -81,17 +81,25 @@ def _passed_arguments():
     return passed
 
 
+def _unpassed(paths, directories):
+    passed = _passed_arguments(directories)
+    return [f"{path.name}:{function}({parameter})"
+            for path in paths
+            for function, parameter, position in _parameters_with_defaults(
+                ast.parse(path.read_text(encoding="utf-8")))
+            if not {(function, parameter), (function, position), (function, "*")} & passed]
+
+
 def test_every_parameter_with_a_default_is_passed_outside_the_tests():
     # a default that only tests override is a knob nobody turns: it is a
     # constant, and a test reads the constant instead
-    passed = _passed_arguments()
-    unpassed = [
-        f"{path.name}:{function}({parameter})"
-        for path in sorted((ROOT / "src" / "minidapt").glob("*.py"))
-        for function, parameter, position in _parameters_with_defaults(
-            ast.parse(path.read_text(encoding="utf-8")))
-        if not {(function, parameter), (function, position), (function, "*")} & passed]
-    assert unpassed == []
+    assert _unpassed(sorted((ROOT / "src" / "minidapt").glob("*.py")),
+                     ["src", "scripts", "stagebench"]) == []
+
+
+def test_every_test_helper_parameter_with_a_default_is_passed():
+    # the same rule for the shared test helpers, whose callers are the tests
+    assert _unpassed([ROOT / "tests" / "conftest.py"], ["tests"]) == []
 
 
 def test_every_module_level_import_is_read():
